@@ -206,8 +206,16 @@ def _cmd_analyze(args) -> int:
         g = parse_graph(fh.read())
     report = classify(g, degree_bound=args.degree_bound, search_bound=args.search_bound)
     _emit(_dump_json(report.to_json_dict()), args.output)
-    total_ms = report.timings_ms.get("total", 0.0)
-    print(f"analyze {args.input}: {report.verdict} ({total_ms:.0f} ms)", file=sys.stderr)
+    timings = report.timings_ms
+    stages = ", ".join(
+        f"{stage} {timings[stage]:.1f}"
+        for stage in ("cycles", "hk", "gap", "exclusion")
+        if stage in timings
+    )
+    print(
+        f"analyze {args.input}: {report.verdict} ({timings.get('total', 0.0):.0f} ms; {stages} ms)",
+        file=sys.stderr,
+    )
     return EXIT_UNKNOWN if report.verdict == VERDICT_UNKNOWN else EXIT_OK
 
 

@@ -49,13 +49,29 @@ class Facet:
     validated: bool
 
 
+@lru_cache(maxsize=256)
+def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] | None:
+    """The components of G minus v, each a sorted tuple, ordered by
+    smallest member, when v is regular; None otherwise.
+
+    A vertex is regular when every component of G minus v has an odd
+    cycle.  Cached per (graph, vertex), so G minus v is built and
+    traversed once; the parity certificates and the HK criterion then
+    read the components instead of rebuilding G minus v per query.
+    """
+    rest = delete_vertex(g, v)
+    comps = connected_components(rest)
+    if not all(contains_odd_cycle(rest, comp) for comp in comps):
+        return None
+    return tuple(tuple(sorted(comp)) for comp in comps)
+
+
 def is_regular_vertex(g: Graph, v: int) -> bool:
     """True when every connected component of G minus v has an odd cycle,
     i.e. x_v = 0 supports a facet candidate."""
     if v not in g.vertex_set:
         raise ValueError(f"vertex {v} not in graph")
-    rest = delete_vertex(g, v)
-    return all(contains_odd_cycle(rest, comp) for comp in connected_components(rest))
+    return regular_vertex_components(g, v) is not None
 
 
 def _independent_sets(g: Graph) -> list[tuple[int, ...]]:

@@ -124,7 +124,7 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adjacency.get(i, frozenset())
 
-    @property
+    @cached_property
     def is_contiguous(self) -> bool:
         """True when the labels are exactly 1..n with no gaps."""
         return self.vertices == tuple(range(1, len(self.vertices) + 1))

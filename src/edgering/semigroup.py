@@ -4,13 +4,16 @@ Everything here is integer arithmetic on exponent vectors indexed by the
 vertex labels 1..d.  The semigroup S is the set of nonnegative integer
 sums of edge vectors rho(e); its saturation Sbar is the intersection of
 the rational edge cone with the edge lattice.  Membership in S is decided
-by exhaustive backtracking, so a negative answer is definitive.
+by exhaustive backtracking, down to a complete table of edge sums where
+gap enumeration supplies one, so a negative answer is definitive.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -47,7 +50,7 @@ def _require_full(g: Graph) -> int:
 
 def _check_vector(g: Graph, x) -> Vector:
     d = _require_full(g)
-    vec = tuple(int(v) for v in x)
+    vec = tuple(map(int, x))
     if len(vec) != d:
         raise ValueError(f"vector length {len(vec)} does not match d={d}")
     return vec
@@ -72,19 +75,32 @@ def cycle_indicator(g: Graph, cycle: tuple[int, ...]) -> Vector:
 
 
 class _EdgeSumSearch:
-    """Memoized exhaustive decision procedure for membership in the
-    monoid generated by a fixed edge set.
+    """Exact decision procedure for membership in the monoid generated by
+    a fixed edge set, with a failure memo and an optional lookup table.
 
-    Branches on the lowest-labeled vertex with positive remaining demand,
-    over its incident edges whose other endpoint also has demand.  Before
-    branching, the positive-support subgraph is split into components;
-    any component with odd total demand, or an isolated vertex with
-    demand, kills the node.  Only negative decisions are memoized: the
-    positive ones are cheap to rediscover and the negative subtrees are
-    where exhaustive search pays.
+    Search: a nonzero vector x is a sum of edge vectors only if some edge
+    covers the lowest-labeled vertex v with x_v > 0, and that edge's
+    other endpoint w has x_w > 0 too.  So x is a member iff x - rho(v, w)
+    is one for some such edge; branching over those edges is complete.
+
+    Table: inside ``lookup(levels)``, where ``levels[k]`` holds every sum
+    of exactly k edge vectors, a vector of degree 2k with k < len(levels)
+    is a member iff it lies in ``levels[k]``: the table is the whole
+    monoid in those degrees, by construction.  The branching above runs
+    only until the degree falls into the table.  Outside ``lookup`` the
+    table is just the zero vector.  The table never outlives the call
+    that supplies it, because engines are shared through an LRU cache.
+
+    Prune: at the root of each top-level ``decide`` (never inside the
+    recursion) the positive-support subgraph is split into components;
+    a component with odd total demand, or an isolated vertex with
+    demand, proves non-membership, since every edge stays inside one
+    component.  Root rejections are not memoized.  Inner nodes that fail
+    go into ``failed``; a failed vector is a non-member whatever the
+    table, so the memo stays valid across calls.
     """
 
-    __slots__ = ("d", "edges", "incident", "failed")
+    __slots__ = ("d", "edges", "incident", "failed", "levels")
 
     def __init__(self, d: int, edges: tuple[Edge, ...]):
         self.d = d
@@ -96,6 +112,18 @@ class _EdgeSumSearch:
             incident[j].append((i, e))
         self.incident = {v: tuple(sorted(lst)) for v, lst in incident.items()}
         self.failed: set[Vector] = set()
+        self.levels: list[set[Vector]] = [{tuple([0] * d)}]
+
+    @contextmanager
+    def lookup(self, levels: list[set[Vector]]):
+        """Answer degree 2k, for k < len(levels), from ``levels[k]``, which
+        must hold all sums of exactly k edge vectors."""
+        saved = self.levels
+        self.levels = levels
+        try:
+            yield self
+        finally:
+            self.levels = saved
 
     def _prune(self, x: Vector) -> bool:
         """False when a parity or isolation obstruction rules x out."""
@@ -129,23 +157,28 @@ class _EdgeSumSearch:
         return True
 
     def decide(self, x: Vector) -> bool:
+        """Membership of x; the prune runs here, once, above the table."""
         if any(v < 0 for v in x):
             return False
-        if not any(x):
-            return True
+        deg = sum(x)
+        if deg // 2 >= len(self.levels) and not self._prune(x):
+            return False
+        return self._search(x, deg)
+
+    def _search(self, x: Vector, deg: int) -> bool:
+        """Membership of a nonnegative x of degree deg, without the prune."""
+        if deg // 2 < len(self.levels):
+            return x in self.levels[deg // 2]
         if x in self.failed:
             return False
-        if not self._prune(x):
-            self.failed.add(x)
-            return False
-        v = next(u for u in range(1, self.d + 1) if x[u - 1] > 0)
+        v = next(u for u in range(self.d) if x[u] > 0) + 1
         for w, e in self.incident[v]:
             if x[w - 1] <= 0:
                 continue
             child = list(x)
             child[e[0] - 1] -= 1
             child[e[1] - 1] -= 1
-            if self.decide(tuple(child)):
+            if self._search(tuple(child), deg - 2):
                 return True
         self.failed.add(x)
         return False
@@ -156,15 +189,17 @@ class _EdgeSumSearch:
             return None
         out: list[Edge] = []
         cur = list(x)
-        while any(cur):
-            v = next(u for u in range(1, self.d + 1) if cur[u - 1] > 0)
+        deg = sum(x)
+        while deg:
+            v = next(u for u in range(self.d) if cur[u] > 0) + 1
             for w, e in self.incident[v]:
                 if cur[w - 1] <= 0:
                     continue
                 cur[e[0] - 1] -= 1
                 cur[e[1] - 1] -= 1
-                if self.decide(tuple(cur)):
+                if self._search(tuple(cur), deg - 2):
                     out.append(e)
+                    deg -= 2
                     break
                 cur[e[0] - 1] += 1
                 cur[e[1] - 1] += 1
@@ -278,7 +313,7 @@ def normalization_generators(g: Graph) -> list[Vector]:
 
 
 def _vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[set[Vector]]:
@@ -295,12 +330,19 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[s
     return levels
 
 
-def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
+def _gap_candidates(g: Graph, degree_bound: int) -> tuple[set[Vector], list[set[Vector]]]:
+    """The candidates beta + gamma of the formula route, and the edge-sum
+    levels they were built from.
+
+    gamma runs over the nonzero sums of normalization generators with
+    degree <= degree_bound, beta over the sums of k edge vectors with
+    2k + deg(gamma) <= degree_bound.  ``levels[k]`` holds all sums of
+    exactly k edge vectors for 2k <= degree_bound - min deg(gamma).
+    """
     d = g.n_vertices
     gens = normalization_generators(g)
     if not gens:
-        return []
-    engine = _search_engine(g)
+        return set(), []
     # all nonzero nonnegative-integer combinations of the generators
     gammas: set[Vector] = set()
     frontier: set[Vector] = {tuple([0] * d)}
@@ -314,7 +356,7 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
                     nxt.add(s)
         frontier = nxt
     if not gammas:
-        return []
+        return set(), []
     min_gamma = min(sum(s) for s in gammas)
     levels = _edge_sum_levels(d, g.edges, degree_bound - min_gamma)
     candidates: set[Vector] = set()
@@ -323,7 +365,26 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
         for k in range(room + 1):
             for beta in levels[k]:
                 candidates.add(_vec_add(beta, gamma))
-    gap = [alpha for alpha in candidates if not engine.decide(alpha)]
+    return candidates, levels
+
+
+def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
+    """Formula route: the candidates beta + gamma that are not in S.
+
+    Membership is decided exactly, with no search bound.  A candidate
+    of degree 2k inside the table (2k <= degree_bound - min deg(gamma))
+    is in S iff it lies in ``levels[k]``, because that set is every sum
+    of k edge vectors.  Above the table, ``_EdgeSumSearch`` branches on
+    the lowest vertex with positive demand, over every edge that can
+    cover it; some edge of any decomposition covers that vertex, so the
+    branching loses no member, and each branch lowers the degree by 2
+    until the table answers.  The table is dropped when the call ends.
+    """
+    candidates, levels = _gap_candidates(g, degree_bound)
+    if not candidates:
+        return []
+    with _search_engine(g).lookup(levels) as engine:
+        gap = [alpha for alpha in candidates if not engine.decide(alpha)]
     return sorted(gap, key=lambda v: (sum(v), v))
 
 

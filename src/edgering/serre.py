@@ -22,14 +22,13 @@ from .facets import (
     facets,
     fundamental_sets,
     generators_on_facet,
-    is_regular_vertex,
+    regular_vertex_components,
 )
 from .graph import (
     Graph,
     UnsupportedGraphError,
     connected_components,
     contains_odd_cycle,
-    delete_vertex,
     induced_subgraph,
     is_connected,
     neighborhood,
@@ -185,16 +184,19 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     each component keeps even weight under y; an odd component therefore
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
+
+    The components come from ``regular_vertex_components``, cached per
+    (graph, vertex), so a repeated call costs O(d).
     """
     vec = _check_vector(g, alpha)
-    if not is_regular_vertex(g, v):
+    comps = regular_vertex_components(g, v)
+    if comps is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
         return None
-    rest = delete_vertex(g, v)
-    for comp in connected_components(rest):
+    for comp in comps:
         if sum(vec[u - 1] for u in comp) % 2 == 1:
-            return ExclusionCertificate(v, tuple(sorted(comp)), vec)
+            return ExclusionCertificate(v, comp, vec)
     return None
 
 
@@ -243,10 +245,11 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
         checked_vertices: list[int] = []
         ok = True
         for v in g.vertices:
-            if v in pv or not is_regular_vertex(g, v):
+            if v in pv:
                 continue
-            rest = delete_vertex(g, v)
-            comps = connected_components(rest)
+            comps = regular_vertex_components(g, v)
+            if comps is None:
+                continue
             c1 = next(c for c in comps if pair.first[0] in c)
             if pair.second[0] not in c1:
                 ok = False
@@ -284,13 +287,21 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
     Args:
         g: connected graph with an odd cycle, labels 1..d.
         degree_bound: bound on gap enumeration (positive even).
-        search_bound: degree bound for localization searches.
+        search_bound: degree bound for localization searches (>= 0).
 
     Returns:
         A ClassificationReport; serialize with ``to_json_dict``.
+
+    Raises:
+        ValueError: a bound is out of range, checked before any stage.
+        UnsupportedGraphError: g is disconnected or bipartite.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
+    if degree_bound <= 0 or degree_bound % 2 == 1:
+        raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     if not is_connected(g):
         raise UnsupportedGraphError("classification needs a connected graph")
     if not contains_odd_cycle(g):

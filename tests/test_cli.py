@@ -39,6 +39,8 @@ def test_analyze_s2_verified(tmp_path, g33):
     assert data["gap_count"] == 462
     assert data["exhaustive"] is True
     assert proc.stdout == ""
+    for stage in ("cycles", "hk", "gap", "exclusion"):
+        assert f"{stage} " in proc.stderr
 
 
 def test_analyze_parse_error(tmp_path):
@@ -118,6 +120,12 @@ def test_verify_theorem_out_of_range():
     assert "[8, 12]" in proc.stderr
 
 
+def test_verify_theorem_negative_search_bound():
+    proc = run_cli("verify-theorem", "--d", "7", "--n", "8", "--search-bound", "-1")
+    assert proc.returncode == 2
+    assert "search bound" in proc.stderr
+
+
 def test_verify_theorem_tsv():
     proc = run_cli("verify-theorem", "--d", "7", "--n", "8", "--format", "tsv")
     assert proc.returncode == 0
@@ -143,6 +151,14 @@ def test_additions_single_edges(tmp_path):
 def test_additions_bad_max_extra():
     proc = run_cli("additions", "--a", "3", "--b", "3", "--max-extra", "0")
     assert proc.returncode == 2
+
+
+def test_additions_odd_degree_bound():
+    # every graph here returns before gap enumeration, so classify must
+    # reject the bound up front
+    proc = run_cli("additions", "--a", "3", "--b", "3", "--max-extra", "1", "--degree-bound", "7")
+    assert proc.returncode == 2
+    assert "degree bound" in proc.stderr
 
 
 def test_no_command_shows_usage():

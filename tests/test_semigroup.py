@@ -1,12 +1,21 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from conftest import family_intermediates
-from edgering.graph import Graph, UnsupportedGraphError
+from edgering.cycles import exceptional_pairs
+from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle
 from edgering.linalg import in_rational_cone, rho_vector
 from edgering.semigroup import (
+    _EdgeSumSearch,
+    _edge_sum_levels,
+    _gap_candidates,
+    _gap_formula,
+    _nonnegative_vectors,
+    _search_engine,
     cycle_indicator,
     gap_elements,
     in_S,
@@ -207,3 +216,61 @@ def test_pair_plus_hub_edge_in_S():
                     vec[w - 1] += 1
                     vec[v - 1] += 1
                     assert in_S(g, tuple(vec)) is not None, (a, b, g.n_edges, pair, v)
+
+
+@st.composite
+def connected_nonbipartite(draw, dmax=8):
+    """A random spanning tree plus random extra edges, kept when it has
+    an odd cycle."""
+    d = draw(st.integers(4, dmax))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, d + 1)]
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=2 * d))
+    g = Graph.from_edge_list(d, set(tree) | extra)
+    assume(contains_odd_cycle(g))
+    return g
+
+
+@st.composite
+def with_exceptional_pair(draw, dmax=8):
+    """Two triangles with no edge between them, joined through random hub
+    vertices, under a random relabelling: the triangles form an
+    exceptional pair."""
+    hubs = draw(st.integers(1, dmax - 6))
+    d = 6 + hubs
+    a, b, h = [0, 1, 2], [3, 4, 5], list(range(6, d))
+    pairs = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
+    # every hub meets the first triangle or an earlier hub; one hub meets the second
+    for i, u in enumerate(h):
+        pairs.add((draw(st.sampled_from(a + h[:i])), u))
+    pairs.add((draw(st.sampled_from(b)), draw(st.sampled_from(h))))
+    spare = [(u, v) for u in h for v in a + b + h if u != v]
+    pairs |= draw(st.sets(st.sampled_from(spare), max_size=2 * hubs))
+    perm = draw(st.permutations(range(1, d + 1)))
+    g = Graph.from_edge_list(d, {tuple(sorted((perm[i], perm[j]))) for i, j in pairs})
+    assert exceptional_pairs(g)
+    return g
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(with_exceptional_pair())
+def test_table_lookup_matches_plain_search(g):
+    """Every formula-route candidate gets the same answer from the table
+    lookup as from a fresh search that has no table and no shared memo."""
+    candidates, _ = _gap_candidates(g, 12)
+    plain = _EdgeSumSearch(g.n_vertices, g.edges)
+    expected = sorted((a for a in candidates if not plain.decide(a)), key=lambda v: (sum(v), v))
+    assert _gap_formula(g, 12) == expected
+    # the table is dropped when the gap call ends
+    assert len(_search_engine(g).levels) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_nonbipartite(dmax=6))
+def test_edge_sum_levels_are_S_by_degree(g):
+    d = g.n_vertices
+    levels = _edge_sum_levels(d, g.edges, 6)
+    for k, level in enumerate(levels):
+        degree_2k = (x for x in _nonnegative_vectors(d, 2 * k) if sum(x) == 2 * k)
+        members = {x for x in degree_2k if in_S(g, x) is not None}
+        assert level == members

@@ -2,7 +2,7 @@ import pytest
 
 import helpers
 from edgering.facets import FUNDAMENTAL_KIND, VERTEX_KIND, facets
-from edgering.families import add_cross_edges, family_graph
+from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
 from edgering.graph import UnsupportedGraphError, connected_components, delete_vertex
 from edgering.semigroup import gap_elements, in_S
 from edgering.serre import (
@@ -170,6 +170,25 @@ def test_certificates_are_sound(g33):
         assert alpha[cert.vertex - 1] == 0
         assert frozenset(cert.component) in comps
         assert sum(alpha[v - 1] for v in cert.component) % 2 == 1
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_theorem_certificates_unchanged(d):
+    """Each certificate is the one found at the first certifying vertex
+    facet, with the first odd component of a freshly built G minus v."""
+    for n in theorem_edge_range(d):
+        g = graph_for_theorem(d, n).graph
+        rep = classify(g)
+        assert rep.exhaustive and len(rep.certificates) == rep.gap_count
+        vertices = [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
+        for cert, alpha in zip(rep.certificates, rep.gap):
+            first = next(
+                c for c in (vertex_parity_certificate(g, v, alpha) for v in vertices) if c is not None
+            )
+            assert cert == first
+            fresh = connected_components(delete_vertex(g, cert.vertex))
+            odd = next(c for c in fresh if sum(alpha[u - 1] for u in c) % 2 == 1)
+            assert cert.component == tuple(sorted(odd))
 
 
 def test_gap_alignment_with_classify(g33):
