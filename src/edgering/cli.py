@@ -7,8 +7,10 @@ Commands:
   additions       classify all cross-edge augmentations of a family graph
 
 Exit codes: 0 success, 1 property violation, 2 bad input, 3 unsupported
-graph class, 4 unknown verdict.  Reports are byte-deterministic for a
-given configuration; worker parallelism never changes the output.
+graph (disconnected, bipartite, or past the 16-vertex limit of
+fundamental set enumeration), 4 unknown verdict.  Reports are
+byte-deterministic for a given configuration; worker parallelism never
+changes the output.
 """
 
 from __future__ import annotations

@@ -99,10 +99,11 @@ def fundamental_sets(g: Graph, limit: int = 16) -> list[VertexSet]:
     T qualifies when (a) T is independent, (b) the bipartite graph
     induced by T is connected, and (c) T together with N(G; T) covers V,
     or every component left over contains an odd cycle.  Exhaustive over
-    independent sets, so guarded by a vertex-count limit.
+    independent sets, so guarded by a vertex-count limit: a larger graph
+    raises UnsupportedGraphError (CLI exit code 3).
     """
     if g.n_vertices > limit:
-        raise ValueError(
+        raise UnsupportedGraphError(
             f"fundamental set enumeration limited to {limit} vertices, graph has {g.n_vertices}"
         )
     vset = g.vertex_set

@@ -37,8 +37,9 @@ from .semigroup import (
     MembershipWitness,
     Vector,
     _check_vector,
+    _EdgeSumSearch,
+    _edge_sum_levels,
     _in_S_decide,
-    _search_engine_for_edges,
     gap_elements,
     in_lattice,
     in_S,
@@ -141,39 +142,18 @@ def in_S_cap_F(g: Graph, f: Facet, y) -> MembershipWitness | None:
     vec = _check_vector(g, y)
     if any(v < 0 for v in vec):
         raise ValueError("semigroup members are nonnegative; got a negative coordinate")
-    on_facet = tuple(generators_on_facet(g, f))
-    if sum(vec) % 2 == 1:
-        return None
-    engine = _search_engine_for_edges(g, on_facet)
-    edges = engine.witness_edges(vec)
-    if edges is None:
-        return None
-    counts: dict[tuple[int, int], int] = {}
-    for e in edges:
-        counts[e] = counts.get(e, 0) + 1
-    return MembershipWitness(tuple(sorted(counts.items())))
+    return _EdgeSumSearch(g.n_vertices, tuple(generators_on_facet(g, f))).witness(vec)
 
 
 def _facet_semigroup_bounded(g: Graph, f: Facet, bound: int) -> list[Vector]:
     """All members of S on the facet with coordinate sum <= bound,
-    ordered by (degree, lex); starts with the zero vector."""
-    d = g.n_vertices
-    on_facet = generators_on_facet(g, f)
-    from .linalg import rho_vector
+    ordered by (degree, lex); starts with the zero vector.
 
-    rhos = [rho_vector(d, e) for e in on_facet]
-    level: set[Vector] = {tuple([0] * d)}
-    out: list[Vector] = []
-    for _ in range(bound // 2 + 1):
-        out.extend(sorted(level))
-        nxt: set[Vector] = set()
-        for base in level:
-            for rv in rhos:
-                nxt.add(tuple(x + y for x, y in zip(base, rv)))
-        level = nxt
-        if not level:
-            break
-    return [y for y in out if sum(y) <= bound]
+    Built fresh on every call; ``in_SF_bounded`` keeps one per facet in
+    the ``tables`` dict its caller passes.
+    """
+    levels = _edge_sum_levels(g.n_vertices, tuple(generators_on_facet(g, f)), bound)
+    return [y for level in levels for y in sorted(level)]
 
 
 def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate | None:
@@ -200,13 +180,21 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     return None
 
 
-def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = 12) -> BoundedMembership:
+def in_SF_bounded(
+    g: Graph, f: Facet, alpha, search_bound: int = 12, tables: dict | None = None
+) -> BoundedMembership:
     """Bounded test of alpha's membership in the localization at facet f.
 
     Tries the exact parity certificate first (vertex facets only); then
     searches for y in S on the facet with degree <= search_bound such
     that alpha + y lands in S.  Outcomes: "yes" with the witness y,
     "no_certified" with an exact certificate, or "no_up_to_bound".
+
+    The candidates y come from ``_facet_semigroup_bounded``.  ``tables``,
+    when given, keeps that table per (facet, bound) across calls on the
+    same graph; ``classify`` passes a fresh dict per call, so each facet's
+    table is built at most once per classification and never outlives it.
+    Without ``tables`` the table is built afresh.
     """
     vec = _check_vector(g, alpha)
     if search_bound < 0:
@@ -217,7 +205,10 @@ def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = 12) -> BoundedM
         cert = vertex_parity_certificate(g, f.vertices[0], vec)
         if cert is not None:
             return BoundedMembership(NO_CERTIFIED, certificate=cert)
-    for y in _facet_semigroup_bounded(g, f, search_bound):
+    tables = {} if tables is None else tables
+    if (f, search_bound) not in tables:
+        tables[f, search_bound] = _facet_semigroup_bounded(g, f, search_bound)
+    for y in tables[f, search_bound]:
         shifted = tuple(a + b for a, b in zip(vec, y))
         if _in_S_decide(g, shifted):
             return BoundedMembership(YES, y=y, witness=in_S(g, shifted))
@@ -364,6 +355,7 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
     vertex_facets = [f for f in validated if f.kind == VERTEX_KIND]
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
+    tables: dict[tuple[Facet, int], list[Vector]] = {}  # dropped when classify returns
     for alpha in gap:
         cert = None
         for f in vertex_facets:
@@ -373,8 +365,7 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         if cert is not None:
             certificates.append(cert)
             continue
-        results = [in_SF_bounded(g, f, alpha, search_bound) for f in validated]
-        if all(r.status == YES for r in results):
+        if all(in_SF_bounded(g, f, alpha, search_bound, tables).status == YES for f in validated):
             timings["exclusion"] = (time.perf_counter() - t0) * 1000.0
             return _report(
                 verdict=VERDICT_NOT_S2,

@@ -188,3 +188,61 @@ def facet_normals_bruteforce(g: Graph) -> set[tuple[int, ...]]:
         if integer_rank(contact, d) == d - 1:
             out.add(normal)
     return out
+
+
+# -- reference implementations of cached search tables -----------------
+
+
+def prune_reference(g: Graph, x) -> bool:
+    """The component prune by a fresh traversal of the positive-support
+    subgraph: False when a component has odd total demand or a support
+    vertex has no neighbour in the support."""
+    adj = g.adjacency
+    pos = [v for v in range(1, g.n_vertices + 1) if x[v - 1] > 0]
+    pos_set = set(pos)
+    seen: set[int] = set()
+    for start in pos:
+        if start in seen:
+            continue
+        comp_sum = 0
+        comp_size = 0
+        comp_edges = False
+        stack = [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp_sum += x[u - 1]
+            comp_size += 1
+            for w in adj[u]:
+                if w in pos_set:
+                    comp_edges = True
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        if comp_sum % 2 == 1:
+            return False
+        if comp_size == 1 and not comp_edges:
+            return False
+    return True
+
+
+def facet_semigroup_reference(g: Graph, f, bound: int) -> list[tuple[int, ...]]:
+    """Sums of on-facet edge vectors with coordinate sum <= bound, level
+    by level, each level sorted: ordered by (degree, lex)."""
+    from edgering.facets import generators_on_facet
+    from edgering.linalg import rho_vector
+
+    d = g.n_vertices
+    rhos = [rho_vector(d, e) for e in generators_on_facet(g, f)]
+    level: set[tuple[int, ...]] = {tuple([0] * d)}
+    out: list[tuple[int, ...]] = []
+    for _ in range(bound // 2 + 1):
+        out.extend(sorted(level))
+        nxt: set[tuple[int, ...]] = set()
+        for base in level:
+            for rv in rhos:
+                nxt.add(tuple(x + y for x, y in zip(base, rv)))
+        level = nxt
+        if not level:
+            break
+    return [y for y in out if sum(y) <= bound]

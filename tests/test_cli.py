@@ -126,6 +126,14 @@ def test_verify_theorem_negative_search_bound():
     assert "search bound" in proc.stderr
 
 
+def test_verify_theorem_past_vertex_limit():
+    # d=17 is a valid dimension, but fundamental set enumeration stops at
+    # 16 vertices: an unsupported graph, not bad input
+    proc = run_cli("verify-theorem", "--d", "17", "--n", "18")
+    assert proc.returncode == 3
+    assert "16 vertices" in proc.stderr
+
+
 def test_verify_theorem_tsv():
     proc = run_cli("verify-theorem", "--d", "7", "--n", "8", "--format", "tsv")
     assert proc.returncode == 0

@@ -219,14 +219,19 @@ def test_pair_plus_hub_edge_in_S():
 
 
 @st.composite
-def connected_nonbipartite(draw, dmax=8):
-    """A random spanning tree plus random extra edges, kept when it has
-    an odd cycle."""
-    d = draw(st.integers(4, dmax))
+def connected_graph(draw, dmin=2, dmax=8):
+    """A random spanning tree plus random extra edges."""
+    d = draw(st.integers(dmin, dmax))
     tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, d + 1)]
     pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
     extra = draw(st.sets(st.sampled_from(pairs), max_size=2 * d))
-    g = Graph.from_edge_list(d, set(tree) | extra)
+    return Graph.from_edge_list(d, set(tree) | extra)
+
+
+@st.composite
+def connected_nonbipartite(draw, dmax=8):
+    """A random connected graph, kept when it has an odd cycle."""
+    g = draw(connected_graph(4, dmax))
     assume(contains_odd_cycle(g))
     return g
 
@@ -274,3 +279,30 @@ def test_edge_sum_levels_are_S_by_degree(g):
         degree_2k = (x for x in _nonnegative_vectors(d, 2 * k) if sum(x) == 2 * k)
         members = {x for x in degree_2k if in_S(g, x) is not None}
         assert level == members
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graph(), st.data())
+def test_prune_matches_fresh_traversal(g, data):
+    """The prune, answered from the per-pattern cache, agrees with a fresh
+    traversal of the positive-support subgraph on every vector, and again
+    when a pattern comes back with other values (a cache hit)."""
+    d = g.n_vertices
+    coords = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple)
+    vecs = data.draw(st.lists(coords, min_size=1, max_size=10))
+    v = data.draw(st.integers(1, d))
+    a, b = g.edges[0]
+    alone = [0] * d  # v is the whole support: even, but isolated
+    alone[v - 1] = 2
+    cut_off = list(vecs[0])  # v in the support, none of its neighbours
+    for w in g.adjacency[v]:
+        cut_off[w - 1] = 0
+    cut_off[v - 1] += 1
+    odd = [0] * d  # rho(a, b) + e_a: connected support, odd sum
+    odd[a - 1], odd[b - 1] = 2, 1
+    base = [tuple([0] * d), tuple(alone), tuple(cut_off), tuple(odd), *vecs]
+    same_pattern = [tuple(x + 1 if x else 0 for x in vec) for vec in base]
+    engine = _EdgeSumSearch(d, g.edges)
+    for x in base + same_pattern + base:
+        assert engine._prune(x) == helpers.prune_reference(g, x), x
+    assert len(engine.support) <= len(base)

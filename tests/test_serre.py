@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
 import helpers
+from edgering import serre
 from edgering.facets import FUNDAMENTAL_KIND, VERTEX_KIND, facets
 from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
-from edgering.graph import UnsupportedGraphError, connected_components, delete_vertex
+from edgering.graph import Graph, UnsupportedGraphError, connected_components, delete_vertex
 from edgering.semigroup import gap_elements, in_S
 from edgering.serre import (
     NO_CERTIFIED,
+    NO_UP_TO_BOUND,
     VERDICT_NORMAL,
     VERDICT_NOT_S2,
     VERDICT_S2_VERIFIED,
     VERDICT_UNKNOWN,
     YES,
+    BoundedMembership,
+    _facet_semigroup_bounded,
     classify,
     hk_not_s2,
     in_S_cap_F,
@@ -212,3 +218,77 @@ def test_fundamental_facets_checked(g33):
     kinds for the scan to be meaningful."""
     kinds = {f.kind for f in facets(g33.graph) if f.validated}
     assert kinds == {VERTEX_KIND, FUNDAMENTAL_KIND}
+
+
+def localization_graph():
+    """8 vertices, 10 edges: at bounds 8/8 no gap element has a parity
+    certificate, so exclusion runs the bounded localization search."""
+    pairs = [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7), (4, 6), (5, 6), (5, 8)]
+    return Graph.from_edge_list(8, pairs)
+
+
+def test_facet_table_matches_level_loop():
+    rng = random.Random(11)
+    for _ in range(12):
+        g = helpers.random_connected_nonbipartite(rng, dmin=4, dmax=7)
+        for f in facets(g):
+            if not f.validated:
+                continue
+            for bound in range(9):
+                expected = helpers.facet_semigroup_reference(g, f, bound)
+                assert _facet_semigroup_bounded(g, f, bound) == expected, (g.edges, f, bound)
+
+
+def test_facet_tables_live_for_one_classify_call(g33, monkeypatch):
+    built = []
+    real = serre._facet_semigroup_bounded
+
+    def counting(g, f, bound):
+        built.append(f)
+        return real(g, f, bound)
+
+    monkeypatch.setattr(serre, "_facet_semigroup_bounded", counting)
+    rep = classify(g33.graph)
+    assert rep.verdict == VERDICT_S2_VERIFIED and rep.exhaustive
+    assert built == []  # every gap element is certified: no search, no table
+
+    g = localization_graph()
+    validated = [f for f in facets(g) if f.validated]
+    for _ in range(2):  # a second call builds its own tables again
+        built.clear()
+        rep = classify(g, degree_bound=8, search_bound=8)
+        assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive and not rep.certificates
+        # every gap element searches the first facet, yet each table is built once
+        assert rep.gap_count > 1
+        assert built and len(built) == len(set(built)) and built[0] == validated[0]
+
+    # without a tables dict every call builds its table afresh
+    built.clear()
+    first = in_SF_bounded(g, validated[0], rep.gap[0], search_bound=8)
+    assert in_SF_bounded(g, validated[0], rep.gap[0], search_bound=8) == first
+    assert built == [validated[0]] * 2
+
+
+def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
+    g = localization_graph()
+    validated = [f for f in facets(g) if f.validated]
+    seen = []
+
+    def stub(status):
+        def fake(g, f, alpha, search_bound, tables=None):
+            seen.append((f, tables))
+            return BoundedMembership(status)
+
+        return fake
+
+    monkeypatch.setattr(serre, "in_SF_bounded", stub(NO_UP_TO_BOUND))
+    rep = classify(g, degree_bound=8, search_bound=8)
+    assert rep.verdict == VERDICT_S2_VERIFIED and len(seen) == rep.gap_count
+
+    # every facet says yes for the first gap element: NotS2 right there
+    seen.clear()
+    monkeypatch.setattr(serre, "in_SF_bounded", stub(YES))
+    rep = classify(g, degree_bound=8, search_bound=8)
+    assert rep.verdict == VERDICT_NOT_S2 and rep.s_prime_candidate == rep.gap[0]
+    assert [f for f, _ in seen] == validated
+    assert all(tables is seen[0][1] for _, tables in seen) and seen[0][1] is not None
