@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .families import (
+    FamilyGraph,
     add_cross_edges,
     build_gab,
     cross_pairs,
@@ -47,6 +48,13 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNKNOWN = 4
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _dump_json(obj) -> str:
@@ -142,9 +150,8 @@ def _cmd_verify_theorem(args) -> int:
 # -- additions ---------------------------------------------------------
 
 
-def _addition_job(args: tuple[int, int, tuple, int, int]) -> dict:
-    a, b, subset, degree_bound, search_bound = args
-    fam = build_gab(a, b)
+def _addition_job(args: tuple[FamilyGraph, tuple, int, int]) -> dict:
+    fam, subset, degree_bound, search_bound = args
     graph = add_cross_edges(fam, subset)
     report = classify(graph, degree_bound=degree_bound, search_bound=search_bound)
     return {
@@ -166,7 +173,7 @@ def _cmd_additions(args) -> int:
         for size in range(1, max_extra + 1)
         for subset in itertools.combinations(pairs, size)
     ]
-    work = [(args.a, args.b, s, args.degree_bound, args.search_bound) for s in subsets]
+    work = [(fam, s, args.degree_bound, args.search_bound) for s in subsets]
     t0 = time.perf_counter()
     if args.jobs <= 1:
         rows = [_addition_job(w) for w in work]
@@ -288,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--n-max", type=int)
     p_thm.add_argument("--degree-bound", type=int, default=16)
     p_thm.add_argument("--search-bound", type=int, default=12)
-    p_thm.add_argument("--jobs", type=int, default=1)
+    p_thm.add_argument("--jobs", type=_positive_int, default=1)
     p_thm.add_argument("--format", choices=["json", "tsv"], default="json")
     p_thm.add_argument("--output")
     p_thm.set_defaults(func=_cmd_verify_theorem)
@@ -299,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_add.add_argument("--max-extra", type=int)
     p_add.add_argument("--degree-bound", type=int, default=16)
     p_add.add_argument("--search-bound", type=int, default=12)
-    p_add.add_argument("--jobs", type=int, default=1)
+    p_add.add_argument("--jobs", type=_positive_int, default=1)
     p_add.add_argument("--format", choices=["json", "tsv"], default="json")
     p_add.add_argument("--output")
     p_add.set_defaults(func=_cmd_additions)

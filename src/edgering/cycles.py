@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, bits, mask_neighbors
 
 OddCycle = tuple[int, ...]
 
@@ -45,29 +45,22 @@ def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
     return True
 
 
-def _extend(adj, s, path, path_set, out) -> None:
+def _extend(masks, s, path, path_mask, chords, out) -> None:
     # Invariants: path[0] == s is the smallest vertex, interior vertices
-    # are pairwise non-adjacent except consecutively, and no interior
-    # vertex other than path[1] is adjacent to s.
+    # are pairwise non-adjacent except consecutively, no interior vertex
+    # other than path[1] is adjacent to s, and ``chords`` is the union of
+    # the neighbour masks of path[1:-1], so a vertex x with its bit set
+    # there would close a chord with an interior vertex.
     last = path[-1]
-    s_adj = adj[s]
-    middle = path[1:-1]
-    for x in sorted(adj[last]):
-        if x <= s or x in path_set:
-            continue
-        if any(x in adj[m] for m in middle):
-            continue  # would be a chord
-        if x in s_adj:
+    for x in bits(masks[last] & ~path_mask & ~chords & -(2 << s)):
+        if masks[s] >> x & 1:
             # closing edge; a longer cycle through x would have chord {x, s}
-            length = len(path) + 1
-            if length % 2 == 1 and path[1] < x:
+            if len(path) % 2 == 0 and path[1] < x:
                 out.append(tuple(path) + (x,))
             continue
         path.append(x)
-        path_set.add(x)
-        _extend(adj, s, path, path_set, out)
+        _extend(masks, s, path, path_mask | 1 << x, chords | masks[last], out)
         path.pop()
-        path_set.remove(x)
 
 
 @lru_cache(maxsize=256)
@@ -77,12 +70,11 @@ def minimal_odd_cycles(g: Graph) -> tuple[OddCycle, ...]:
     DFS path extension from each smallest-vertex anchor with chordless
     pruning.  Returns the empty tuple iff G has no odd cycle.
     """
-    adj = g.adjacency
+    masks = g.masks
     out: list[OddCycle] = []
     for s in g.vertices:
-        for u in sorted(adj[s]):
-            if u > s:
-                _extend(adj, s, [s, u], {s, u}, out)
+        for u in bits(masks[s] & -(2 << s)):
+            _extend(masks, s, [s, u], 1 << s | 1 << u, 0, out)
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 
@@ -100,17 +92,20 @@ def has_bridge(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
 
 def exceptional_pairs(g: Graph) -> list[ExceptionalPair]:
     """All unordered pairs of vertex-disjoint minimal odd cycles with no
-    bridge, each pair ordered (smaller cycle first), list sorted."""
+    bridge, each pair ordered (smaller cycle first), list sorted.
+
+    Cycle j misses cycle i and every edge out of it exactly when no
+    vertex of j lies in the closed neighbourhood of i.
+    """
     cycles = minimal_odd_cycles(g)
-    pairs: list[ExceptionalPair] = []
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            c1, c2 = cycles[i], cycles[j]
-            if set(c1) & set(c2):
-                continue
-            if not has_bridge(g, c1, c2):
-                pairs.append(ExceptionalPair(c1, c2))
-    return pairs
+    own = [sum(1 << v for v in c) for c in cycles]
+    closed = [mask | mask_neighbors(g, mask) for mask in own]
+    return [
+        ExceptionalPair(cycles[i], cycles[j])
+        for i in range(len(cycles))
+        for j in range(i + 1, len(cycles))
+        if not own[j] & closed[i]
+    ]
 
 
 def satisfies_odd_cycle_condition(g: Graph) -> bool:

@@ -18,12 +18,11 @@ from .graph import (
     Graph,
     UnsupportedGraphError,
     VertexSet,
-    connected_components,
+    bits,
     contains_odd_cycle,
-    delete_vertex,
-    induced_bipartite_graph,
-    induced_subgraph,
     is_connected,
+    mask_components,
+    mask_neighbors,
     neighborhood,
 )
 from .linalg import integer_rank, rho_vector
@@ -55,41 +54,40 @@ def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] |
     smallest member, when v is regular; None otherwise.
 
     A vertex is regular when every component of G minus v has an odd
-    cycle.  Cached per (graph, vertex), so G minus v is built and
-    traversed once; the parity certificates and the HK criterion then
-    read the components instead of rebuilding G minus v per query.
+    cycle.  Cached per (graph, vertex), so G minus v is traversed once;
+    the parity certificates and the HK criterion then read the components
+    instead of traversing G minus v per query.
     """
-    rest = delete_vertex(g, v)
-    comps = connected_components(rest)
-    if not all(contains_odd_cycle(rest, comp) for comp in comps):
+    if v not in g.vertex_set or g.n_vertices == 1:
+        raise ValueError(f"vertex {v} not in graph, or the graph has no other vertex")
+    comps = mask_components(g, g.vertex_mask & ~(1 << v))
+    if not all(odd for _, odd in comps):
         return None
-    return tuple(tuple(sorted(comp)) for comp in comps)
+    return tuple(tuple(bits(comp)) for comp, _ in comps)
 
 
 def is_regular_vertex(g: Graph, v: int) -> bool:
     """True when every connected component of G minus v has an odd cycle,
     i.e. x_v = 0 supports a facet candidate."""
-    if v not in g.vertex_set:
-        raise ValueError(f"vertex {v} not in graph")
     return regular_vertex_components(g, v) is not None
 
 
-def _independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    adj = g.adjacency
+def _independent_sets(g: Graph) -> list[tuple[int, int]]:
+    """(T, N(G; T)) as bitmasks for every nonempty independent set T."""
+    masks = g.masks
     verts = g.vertices
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[int, int]] = []
 
-    def grow(start: int, chosen: list[int]) -> None:
+    def grow(start: int, tmask: int, nmask: int) -> None:
         for idx in range(start, len(verts)):
             v = verts[idx]
-            if any(v in adj[c] for c in chosen):
+            if nmask >> v & 1:
                 continue
-            chosen.append(v)
-            out.append(tuple(chosen))
-            grow(idx + 1, chosen)
-            chosen.pop()
+            grown = (tmask | 1 << v, nmask | masks[v])
+            out.append(grown)
+            grow(idx + 1, *grown)
 
-    grow(0, [])
+    grow(0, 0, 0)
     return out
 
 
@@ -106,21 +104,20 @@ def fundamental_sets(g: Graph, limit: int = 16) -> list[VertexSet]:
         raise UnsupportedGraphError(
             f"fundamental set enumeration limited to {limit} vertices, graph has {g.n_vertices}"
         )
-    vset = g.vertex_set
     out: list[VertexSet] = []
-    for cand in _independent_sets(g):
-        t = frozenset(cand)
-        if not is_connected(induced_bipartite_graph(g, t)):
+    for tmask, nmask in _independent_sets(g):
+        # every vertex of N(T) has a neighbour in T, so the bipartite graph
+        # is connected when walks from one member of T, alternating
+        # sides, reach all of T
+        reach = layer = tmask & -tmask
+        while layer:
+            layer = mask_neighbors(g, mask_neighbors(g, layer)) & tmask & ~reach
+            reach |= layer
+        if reach != tmask:
             continue
-        rest = vset - t - neighborhood(g, t)
-        if rest:
-            rest_graph = induced_subgraph(g, rest)
-            if not all(
-                contains_odd_cycle(rest_graph, comp)
-                for comp in connected_components(rest_graph)
-            ):
-                continue
-        out.append(t)
+        rest = mask_components(g, g.vertex_mask & ~(tmask | nmask))
+        if all(odd for _, odd in rest):
+            out.append(frozenset(bits(tmask)))
     return sorted(out, key=lambda t: (len(t), sorted(t)))
 
 

@@ -115,6 +115,23 @@ class Graph:
             nbrs[j].add(i)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks indexed by label: bit u of ``masks[v]`` is
+        set when uv is an edge.  Bit positions are the labels themselves,
+        so graphs with label gaps need no relabelling (a missing label
+        reads 0)."""
+        out = [0] * (self.vertices[-1] + 1)
+        for i, j in self.edges:
+            out[i] |= 1 << j
+            out[j] |= 1 << i
+        return tuple(out)
+
+    @cached_property
+    def vertex_mask(self) -> int:
+        """Bitmask of the vertex labels."""
+        return sum(1 << v for v in self.vertices)
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
@@ -170,46 +187,59 @@ def neighborhood(g: Graph, t: Iterable[int]) -> VertexSet:
     return frozenset(out)
 
 
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_neighbors(g: Graph, mask: int) -> int:
+    """Bitmask of the vertices adjacent to some vertex in ``mask``."""
+    masks = g.masks
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def mask_components(g: Graph, allowed: int) -> list[tuple[int, bool]]:
+    """Components of the subgraph induced on the labels in the bitmask
+    ``allowed``, as (vertex mask, has an odd cycle) pairs ordered by
+    smallest member.  Bits that are not vertex labels must be clear.
+
+    A layered BFS from the smallest unreached vertex.  Lemma: a connected
+    graph has an odd cycle exactly when some edge joins two vertices of
+    the same BFS layer.  Such an edge, with the two tree paths back to
+    their deepest common ancestor, closes an odd cycle; without one,
+    every edge joins consecutive layers, so layer parity 2-colours it.
+    """
+    out = []
+    while allowed:
+        comp = layer = allowed & -allowed
+        odd = False
+        while layer:
+            reach = mask_neighbors(g, layer) & allowed
+            odd = odd or bool(reach & layer)
+            layer = reach & ~comp
+            comp |= layer
+        allowed &= ~comp
+        out.append((comp, odd))
+    return out
+
+
 def connected_components(g: Graph) -> list[VertexSet]:
     """Vertex sets of the connected components, sorted by smallest member."""
-    seen: set[int] = set()
-    comps: list[VertexSet] = []
-    adj = g.adjacency
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return [frozenset(bits(comp)) for comp, _ in mask_components(g, g.vertex_mask)]
 
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def _two_color(g: Graph, comp: Iterable[int]) -> dict[int, int] | None:
-    """2-color one connected vertex set; None when an odd cycle obstructs."""
-    adj = g.adjacency
-    comp = sorted(comp)
-    color = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return None
-    return color
 
 
 def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
@@ -218,22 +248,26 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """
     if not is_connected(g):
         raise ValueError("bipartition needs a connected graph")
-    color = _two_color(g, g.vertices)
-    if color is None:
-        return None
-    first = frozenset(v for v in g.vertices if color[v] == color[min(g.vertices)])
-    second = g.vertex_set - first
-    return (first, second)
+    adj = g.adjacency
+    color = {g.vertices[0]: 0}
+    stack = [g.vertices[0]]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in color:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                return None
+    first = frozenset(v for v in g.vertices if color[v] == 0)
+    return (first, g.vertex_set - first)
 
 
 def contains_odd_cycle(g: Graph, subset: Iterable[int] | None = None) -> bool:
     """True when the induced subgraph on ``subset`` (default: all of G)
     is not 2-colorable, i.e. contains an odd cycle."""
     h = g if subset is None else induced_subgraph(g, subset)
-    for comp in connected_components(h):
-        if _two_color(h, comp) is None:
-            return True
-    return False
+    return any(odd for _, odd in mask_components(h, h.vertex_mask))
 
 
 def induced_bipartite_graph(g: Graph, t: Iterable[int]) -> Graph:

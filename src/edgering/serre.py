@@ -27,11 +27,10 @@ from .facets import (
 from .graph import (
     Graph,
     UnsupportedGraphError,
-    connected_components,
     contains_odd_cycle,
-    induced_subgraph,
     is_connected,
-    neighborhood,
+    mask_components,
+    mask_neighbors,
 )
 from .semigroup import (
     MembershipWitness,
@@ -229,14 +228,16 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     pairs = exceptional_pairs(g)
     if not pairs:
         return None
-    fsets = fundamental_sets(g)
-    vset = g.vertex_set
+    closed_sets = []
+    for t in fundamental_sets(g):
+        tmask = sum(1 << v for v in t)
+        closed_sets.append((tuple(sorted(t)), tmask | mask_neighbors(g, tmask)))
     for pair in pairs:
-        pv = set(pair.first) | set(pair.second)
+        pv = sum(1 << v for v in pair.first + pair.second)
         checked_vertices: list[int] = []
         ok = True
         for v in g.vertices:
-            if v in pv:
+            if pv >> v & 1:
                 continue
             comps = regular_vertex_components(g, v)
             if comps is None:
@@ -249,17 +250,15 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
         if not ok:
             continue
         checked_sets: list[tuple[int, ...]] = []
-        for t in fsets:
-            closed = t | neighborhood(g, t)
+        for t, closed in closed_sets:
             if closed & pv:
                 continue
-            rest = induced_subgraph(g, vset - closed)
-            comps = connected_components(rest)
-            c1 = next(c for c in comps if pair.first[0] in c)
-            if pair.second[0] not in c1:
+            rest = mask_components(g, g.vertex_mask & ~closed)
+            c1 = next(c for c, _ in rest if c >> pair.first[0] & 1)
+            if not c1 >> pair.second[0] & 1:
                 ok = False
                 break
-            checked_sets.append(tuple(sorted(t)))
+            checked_sets.append(t)
         if ok:
             return HkWitness(pair, tuple(checked_vertices), tuple(checked_sets))
     return None

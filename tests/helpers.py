@@ -246,3 +246,149 @@ def facet_semigroup_reference(g: Graph, f, bound: int) -> list[tuple[int, ...]]:
         if not level:
             break
     return [y for y in out if sum(y) <= bound]
+
+
+# -- set-based references for the bitmask graph kernel -------------------
+#
+# The traversals the library ran before its graph routines moved onto
+# vertex bitmasks.  They build a Graph per subgraph and walk adjacency
+# sets, sharing no code with ``mask_components``.
+
+
+def connected_components_reference(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the components by depth-first search, sorted by
+    smallest member."""
+    seen: set[int] = set()
+    comps: list[frozenset[int]] = []
+    adj = g.adjacency
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
+
+
+def _two_colorable(g: Graph, comp) -> bool:
+    adj = g.adjacency
+    start = min(comp)
+    color = {start: 0}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in color:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                return False
+    return True
+
+
+def contains_odd_cycle_reference(g: Graph, subset=None) -> bool:
+    """No 2-colouring of some component of the induced subgraph."""
+    from edgering.graph import induced_subgraph
+
+    h = g if subset is None else induced_subgraph(g, subset)
+    return not all(_two_colorable(h, c) for c in connected_components_reference(h))
+
+
+def regular_vertex_components_reference(g: Graph, v: int):
+    """Components of a freshly built G minus v as sorted tuples, or None
+    when one of them has no odd cycle."""
+    from edgering.graph import delete_vertex
+
+    rest = delete_vertex(g, v)
+    comps = connected_components_reference(rest)
+    if not all(contains_odd_cycle_reference(rest, c) for c in comps):
+        return None
+    return tuple(tuple(sorted(c)) for c in comps)
+
+
+def fundamental_sets_reference(g: Graph) -> list[frozenset[int]]:
+    """Fundamental sets from built subgraphs: every independent set T whose
+    T-N(T) bipartite graph is connected and whose leftover components all
+    have odd cycles, sorted by (size, sorted T)."""
+    from edgering.graph import induced_bipartite_graph, induced_subgraph, neighborhood
+
+    out = []
+    for size in range(1, g.n_vertices + 1):
+        for cand in itertools.combinations(g.vertices, size):
+            t = frozenset(cand)
+            if any(g.has_edge(i, j) for i, j in itertools.combinations(cand, 2)):
+                continue
+            if len(connected_components_reference(induced_bipartite_graph(g, t))) != 1:
+                continue
+            rest = g.vertex_set - t - neighborhood(g, t)
+            if rest:
+                sub = induced_subgraph(g, rest)
+                comps = connected_components_reference(sub)
+                if not all(contains_odd_cycle_reference(sub, c) for c in comps):
+                    continue
+            out.append(t)
+    return sorted(out, key=lambda t: (len(t), sorted(t)))
+
+
+def minimal_odd_cycles_reference(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The chordless members of every simple odd cycle."""
+    from edgering.cycles import is_chordless
+
+    return tuple(c for c in all_simple_odd_cycles(g) if is_chordless(g, c))
+
+
+def exceptional_pairs_reference(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Vertex-disjoint pairs of minimal odd cycles that ``has_bridge``
+    finds no edge between, in cycle order."""
+    from edgering.cycles import has_bridge, minimal_odd_cycles
+
+    cycles = minimal_odd_cycles(g)
+    return [
+        (c1, c2)
+        for c1, c2 in itertools.combinations(cycles, 2)
+        if not set(c1) & set(c2) and not has_bridge(g, c1, c2)
+    ]
+
+
+def hk_not_s2_reference(g: Graph):
+    """The refutation criterion on built subgraphs: the first exceptional
+    pair whose cycles share a component of G minus every regular vertex
+    off the pair and of G minus the closed neighbourhood of every
+    fundamental set that misses the pair.  Returns (pair, checked
+    vertices, checked sets) or None."""
+    from edgering.graph import induced_subgraph, neighborhood
+
+    fsets = fundamental_sets_reference(g)
+    for first, second in exceptional_pairs_reference(g):
+        pv = set(first) | set(second)
+        checked_vertices = []
+        for v in g.vertices:
+            if v in pv:
+                continue
+            comps = regular_vertex_components_reference(g, v)
+            if comps is None:
+                continue
+            if not any(first[0] in c and second[0] in c for c in comps):
+                break
+            checked_vertices.append(v)
+        else:
+            checked_sets = []
+            for t in fsets:
+                closed = t | neighborhood(g, t)
+                if closed & pv:
+                    continue
+                rest = induced_subgraph(g, g.vertex_set - closed)
+                comps = connected_components_reference(rest)
+                if not any(first[0] in c and second[0] in c for c in comps):
+                    break
+                checked_sets.append(tuple(sorted(t)))
+            else:
+                return (first, second), tuple(checked_vertices), tuple(checked_sets)
+    return None

@@ -172,3 +172,22 @@ def test_additions_odd_degree_bound():
 def test_no_command_shows_usage():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_jobs_below_one_rejected():
+    for command in (["verify-theorem", "--d", "7", "--n", "8"], ["additions", "--a", "3", "--b", "3"]):
+        for jobs in ("0", "-3"):
+            proc = run_cli(*command, "--jobs", jobs)
+            assert proc.returncode == 2, (command, jobs)
+            assert "--jobs" in proc.stderr
+            assert proc.stdout == ""
+
+
+def test_additions_report_independent_of_jobs():
+    args = ("additions", "--a", "3", "--b", "4", "--max-extra", "2")
+    serial = run_cli(*args, "--jobs", "1")
+    parallel = run_cli(*args, "--jobs", "2")
+    assert serial.returncode == 0, serial.stderr
+    assert parallel.returncode == 0, parallel.stderr
+    assert serial.stdout == parallel.stdout
+    assert len(json.loads(serial.stdout)["rows"]) == 12 + 66

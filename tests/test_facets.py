@@ -11,9 +11,11 @@ from edgering.facets import (
     fundamental_sets,
     generators_on_facet,
     is_regular_vertex,
+    regular_vertex_components,
 )
 from edgering.graph import Graph, UnsupportedGraphError, delete_vertex
 from edgering.linalg import rho_vector
+from edgering.serre import vertex_parity_certificate
 
 
 def test_is_regular_vertex(g33):
@@ -160,3 +162,19 @@ def test_normals_support_all_edges():
         for f in facets(g):
             for e in g.edges:
                 assert f.normal[e[0] - 1] + f.normal[e[1] - 1] >= 0
+
+
+def test_vertex_outside_graph_is_rejected(g33):
+    """A vertex that is not a label of the graph, including a deleted one,
+    is an error, never the components of the whole graph."""
+    g = g33.graph
+    alpha = (1, 1, 1, 0, 1, 1, 1)
+    for v in (0, 8, 99):
+        with pytest.raises(ValueError):
+            regular_vertex_components(g, v)
+        with pytest.raises(ValueError):
+            vertex_parity_certificate(g, v, alpha)
+        with pytest.raises(ValueError):
+            is_regular_vertex(g, v)
+    with pytest.raises(ValueError):
+        regular_vertex_components(delete_vertex(g, 2), 2)
