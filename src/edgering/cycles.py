@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import Graph, bits, mask_neighbors
+from .graph import Graph, bits, mask_neighbors, to_mask
 
 OddCycle = tuple[int, ...]
 
@@ -98,7 +98,7 @@ def exceptional_pairs(g: Graph) -> list[ExceptionalPair]:
     vertex of j lies in the closed neighbourhood of i.
     """
     cycles = minimal_odd_cycles(g)
-    own = [sum(1 << v for v in c) for c in cycles]
+    own = [to_mask(c) for c in cycles]
     closed = [mask | mask_neighbors(g, mask) for mask in own]
     return [
         ExceptionalPair(cycles[i], cycles[j])

@@ -20,6 +20,7 @@ from .graph import (
     VertexSet,
     bits,
     contains_odd_cycle,
+    delete_vertex,
     is_connected,
     mask_components,
     mask_neighbors,
@@ -54,13 +55,12 @@ def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] |
     smallest member, when v is regular; None otherwise.
 
     A vertex is regular when every component of G minus v has an odd
-    cycle.  Cached per (graph, vertex), so G minus v is traversed once;
-    the parity certificates and the HK criterion then read the components
-    instead of traversing G minus v per query.
+    cycle.  Cached per (graph, vertex), so G minus v is built and
+    traversed once; the parity certificates and the HK criterion then
+    read the components instead of rebuilding G minus v per query.
     """
-    if v not in g.vertex_set or g.n_vertices == 1:
-        raise ValueError(f"vertex {v} not in graph, or the graph has no other vertex")
-    comps = mask_components(g, g.vertex_mask & ~(1 << v))
+    rest = delete_vertex(g, v)  # rejects a v outside G, as a bare mask would not
+    comps = mask_components(rest, rest.vertex_mask)
     if not all(odd for _, odd in comps):
         return None
     return tuple(tuple(bits(comp)) for comp, _ in comps)
@@ -106,9 +106,8 @@ def fundamental_sets(g: Graph, limit: int = 16) -> list[VertexSet]:
         )
     out: list[VertexSet] = []
     for tmask, nmask in _independent_sets(g):
-        # every vertex of N(T) has a neighbour in T, so the bipartite graph
-        # is connected when walks from one member of T, alternating
-        # sides, reach all of T
+        # each vertex of N(T) has a neighbour in T, so the bipartite graph is
+        # connected iff alternating walks from one member of T reach all of T
         reach = layer = tmask & -tmask
         while layer:
             layer = mask_neighbors(g, mask_neighbors(g, layer)) & tmask & ~reach

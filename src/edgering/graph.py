@@ -117,10 +117,9 @@ class Graph:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmasks indexed by label: bit u of ``masks[v]`` is
-        set when uv is an edge.  Bit positions are the labels themselves,
-        so graphs with label gaps need no relabelling (a missing label
-        reads 0)."""
+        """Neighbour bitmasks indexed by label: bit u of ``masks[v]`` is set
+        when uv is an edge.  Bits are the labels themselves, so graphs with
+        label gaps need no relabelling (a missing label reads 0)."""
         out = [0] * (self.vertices[-1] + 1)
         for i, j in self.edges:
             out[i] |= 1 << j
@@ -130,7 +129,7 @@ class Graph:
     @cached_property
     def vertex_mask(self) -> int:
         """Bitmask of the vertex labels."""
-        return sum(1 << v for v in self.vertices)
+        return to_mask(self.vertices)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
@@ -187,6 +186,14 @@ def neighborhood(g: Graph, t: Iterable[int]) -> VertexSet:
     return frozenset(out)
 
 
+def to_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each label v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, increasing."""
     out = []
@@ -199,6 +206,7 @@ def bits(mask: int) -> list[int]:
 
 def mask_neighbors(g: Graph, mask: int) -> int:
     """Bitmask of the vertices adjacent to some vertex in ``mask``."""
+    # the loop of ``bits`` inlined: an OR over bits(mask) measured 1.6x slower
     masks = g.masks
     out = 0
     while mask:

@@ -31,6 +31,7 @@ from .graph import (
     is_connected,
     mask_components,
     mask_neighbors,
+    to_mask,
 )
 from .semigroup import (
     MembershipWitness,
@@ -230,10 +231,10 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
         return None
     closed_sets = []
     for t in fundamental_sets(g):
-        tmask = sum(1 << v for v in t)
+        tmask = to_mask(t)
         closed_sets.append((tuple(sorted(t)), tmask | mask_neighbors(g, tmask)))
     for pair in pairs:
-        pv = sum(1 << v for v in pair.first + pair.second)
+        pv = to_mask(pair.first + pair.second)
         checked_vertices: list[int] = []
         ok = True
         for v in g.vertices:

@@ -18,6 +18,7 @@ from edgering.graph import (
     delete_vertex,
     induced_subgraph,
     mask_components,
+    to_mask,
 )
 from edgering.serre import hk_not_s2
 from test_semigroup import with_exceptional_pair
@@ -71,10 +72,6 @@ def with_far_set(draw):
 any_graph = st.one_of(graphs(), addition_graphs(), with_exceptional_pair(), with_far_set())
 
 
-def as_mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
-
-
 @SLOW
 @given(derived_graphs(), st.data())
 def test_mask_components_match_reference(g, data):
@@ -83,11 +80,11 @@ def test_mask_components_match_reference(g, data):
     if subset:
         h = induced_subgraph(g, subset)
         want = [
-            (as_mask(c), helpers.contains_odd_cycle_reference(h, c))
+            (to_mask(c), helpers.contains_odd_cycle_reference(h, c))
             for c in helpers.connected_components_reference(h)
         ]
-    assert mask_components(g, as_mask(subset)) == want
-    assert bits(as_mask(subset)) == sorted(subset)
+    assert mask_components(g, to_mask(subset)) == want
+    assert bits(to_mask(subset)) == sorted(subset)
 
 
 @SLOW
