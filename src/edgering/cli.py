@@ -95,8 +95,10 @@ def theorem_results(
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     work = [(d, n, degree_bound, search_bound) for n in n_values]
-    if jobs <= 1:
+    if jobs == 1:
         return [_theorem_job(w) for w in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_theorem_job, work, chunksize=1))

@@ -120,15 +120,22 @@ def fundamental_sets(g: Graph, limit: int = 16) -> list[VertexSet]:
     return sorted(out, key=lambda t: (len(t), sorted(t)))
 
 
-def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tuple[int, ...]) -> Facet:
-    d = g.n_vertices
-    on_facet: list[Edge] = []
+def _on_facet_edges(g: Graph, normal: tuple[int, ...]) -> list[Edge]:
+    """Edges e with normal . rho(e) = 0; raises when some edge lies on
+    the negative side, i.e. the normal does not support this cone."""
+    out: list[Edge] = []
     for e in g.edges:
         val = normal[e[0] - 1] + normal[e[1] - 1]
         if val < 0:
-            raise AssertionError(f"candidate normal {normal} fails to support edge {e}")
+            raise ValueError(f"foreign facet: edge {e} on the negative side")
         if val == 0:
-            on_facet.append(e)
+            out.append(e)
+    return out
+
+
+def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tuple[int, ...]) -> Facet:
+    d = g.n_vertices
+    on_facet = _on_facet_edges(g, normal)
     rows = [rho_vector(d, e) for e in on_facet]
     validated = bool(rows) and integer_rank(rows, d) == d - 1
     return Facet(kind, verts, normal, tuple(on_facet), validated)
@@ -177,14 +184,7 @@ def generators_on_facet(g: Graph, f: Facet) -> list[Edge]:
     """
     if len(f.normal) != g.n_vertices or not g.is_contiguous:
         raise ValueError("facet dimension does not match the graph")
-    out: list[Edge] = []
-    for e in g.edges:
-        val = f.normal[e[0] - 1] + f.normal[e[1] - 1]
-        if val < 0:
-            raise ValueError(f"foreign facet: edge {e} on the negative side")
-        if val == 0:
-            out.append(e)
-    return out
+    return _on_facet_edges(g, f.normal)
 
 
 def cone_dimension(g: Graph) -> int:

@@ -1,7 +1,8 @@
-"""Exact integer and rational linear algebra for the cone and semigroup
-machinery: a triangular integer lattice basis maintained by extended-gcd
-row reduction, integer rank via the same reduction, and a rational
-phase-1 simplex feasibility test.  No floating point anywhere.
+"""Exact integer and rational linear algebra for the cone machinery:
+edge exponent vectors, the rank of integer rows by fraction-free
+Gaussian elimination, and a rational phase-1 simplex feasibility test.
+No floating point anywhere.  Edge lattice membership has a closed form
+and lives in ``semigroup.in_lattice``.
 """
 
 from __future__ import annotations
@@ -23,110 +24,30 @@ def rho_vector(d: int, e: Edge) -> tuple[int, ...]:
     return tuple(v)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-class IntegerLattice:
-    """Integer span of added vectors, kept as a triangular basis.
-
-    Rows are sorted by pivot column and each pivot entry is positive.
-    Membership reduces against the basis; it succeeds iff every pivot
-    divides the running entry and the remainder reaches zero.
-    """
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-
-    @staticmethod
-    def _pivot(row: Sequence[int]) -> int | None:
-        for idx, val in enumerate(row):
-            if val:
-                return idx
-        return None
-
-    def _row_at_pivot(self, j: int) -> int | None:
-        for pos, row in enumerate(self.rows):
-            p = self._pivot(row)
-            if p == j:
-                return pos
-            if p is not None and p > j:
-                return None
-        return None
-
-    def add(self, vec: Sequence[int]) -> None:
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        while True:
-            j = self._pivot(v)
-            if j is None:
-                return
-            pos = self._row_at_pivot(j)
-            if pos is None:
-                if v[j] < 0:
-                    v = [-t for t in v]
-                self.rows.append(v)
-                self.rows.sort(key=lambda r: self._pivot(r))
-                return
-            row = self.rows[pos]
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [t - q * s for t, s in zip(v, row)]
-            else:
-                g, x, y = xgcd(a, b)
-                new_row = [x * s + y * t for s, t in zip(row, v)]
-                v = [(a // g) * t - (b // g) * s for s, t in zip(row, v)]
-                self.rows[pos] = new_row
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch")
-        v = list(vec)
-        while True:
-            j = self._pivot(v)
-            if j is None:
-                return True
-            pos = self._row_at_pivot(j)
-            if pos is None:
-                return False
-            row = self.rows[pos]
-            if v[j] % row[j] != 0:
-                return False
-            q = v[j] // row[j]
-            v = [t - q * s for t, s in zip(v, row)]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def integer_rank(rows: Sequence[Sequence[int]], dim: int | None = None) -> int:
-    """Rank over Q of integer row vectors, by exact integer reduction."""
-    rows = list(rows)
+    """Rank over Q of integer row vectors, by fraction-free (Bareiss)
+    Gaussian elimination: every entry below the pivot rows is a minor of
+    the input, so the division by the previous pivot is exact."""
+    mat = [list(row) for row in rows]
     if dim is None:
-        if not rows:
+        if not mat:
             raise ValueError("cannot infer dimension of an empty row list")
-        dim = len(rows[0])
-    lat = IntegerLattice(dim)
-    for row in rows:
-        lat.add(row)
-    return lat.rank
+        dim = len(mat[0])
+    if any(len(row) != dim for row in mat):
+        raise ValueError("dimension mismatch")
+    rank, prev = 0, 1
+    for col in range(dim):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(top[col] * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank
 
 
 def in_rational_cone(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

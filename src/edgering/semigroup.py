@@ -20,8 +20,18 @@ import numpy as np
 
 from .cycles import exceptional_pairs, is_cycle_of
 from .facets import facets
-from .graph import Edge, Graph, UnsupportedGraphError, bipartition, contains_odd_cycle, is_connected
-from .linalg import IntegerLattice, in_rational_cone, rho_vector
+from .graph import (
+    Edge,
+    Graph,
+    UnsupportedGraphError,
+    bipartition,
+    bits,
+    contains_odd_cycle,
+    is_connected,
+    mask_components,
+    to_mask,
+)
+from .linalg import in_rational_cone, rho_vector
 
 Vector = tuple[int, ...]
 
@@ -77,7 +87,9 @@ def cycle_indicator(g: Graph, cycle: tuple[int, ...]) -> Vector:
 
 class _EdgeSumSearch:
     """Exact decision procedure for membership in the monoid generated by
-    a fixed edge set, with a failure memo and an optional lookup table.
+    the edge vectors of a ``Graph`` on labels 1..d (for a facet, the graph
+    of its on-facet edges on all d vertices), with a failure memo and an
+    optional lookup table.
 
     Search: a nonzero vector x is a sum of edge vectors only if some edge
     covers the lowest-labeled vertex v with x_v > 0, and that edge's
@@ -93,27 +105,27 @@ class _EdgeSumSearch:
     that supplies it, because engines are shared through an LRU cache.
 
     Prune: at the root of each top-level ``decide`` (never inside the
-    recursion) the positive-support subgraph is split into components;
-    a component with odd total demand, or an isolated vertex with
-    demand, proves non-membership, since every edge stays inside one
-    component.  The components depend only on the edge set and the
-    support pattern of x, so ``support`` caches them per pattern for the
-    engine's lifetime: None when a support vertex is isolated, else the
-    0-based index groups whose sums must be even.  There are few
-    patterns (84 among 245k candidates of the largest d=10 theorem
+    recursion) ``mask_components`` splits the positive-support subgraph
+    into components; a component with odd total demand, or an isolated
+    vertex with demand, proves non-membership, since every edge stays
+    inside one component.  The components depend only on the edge set
+    and the support pattern of x, so ``support`` caches them per pattern
+    for the engine's lifetime: None when a support vertex is isolated,
+    else the 0-based index groups whose sums must be even.  There are
+    few patterns (84 among 245k candidates of the largest d=10 theorem
     graph), and the engine's edges never change, so an entry is valid
     across calls and tables.  Root rejections are not memoized.  Inner
     nodes that fail go into ``failed``; a failed vector is a non-member
     whatever the table, so the memo stays valid across calls.
     """
 
-    __slots__ = ("d", "edges", "incident", "failed", "levels", "support")
+    __slots__ = ("graph", "d", "incident", "failed", "levels", "support")
 
-    def __init__(self, d: int, edges: tuple[Edge, ...]):
-        self.d = d
-        self.edges = edges
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.d = d = _require_full(g)
         incident: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(1, d + 1)}
-        for e in edges:
+        for e in g.edges:
             i, j = e
             incident[i].append((j, e))
             incident[j].append((i, e))
@@ -144,29 +156,20 @@ class _EdgeSumSearch:
     def _support_groups(self, pattern: tuple[bool, ...]) -> tuple[tuple[int, ...], ...] | None:
         """0-based index groups of the components of the subgraph induced
         on the support, or None when a support vertex has no neighbour in it."""
-        seen: set[int] = set()
-        groups: list[tuple[int, ...]] = []
-        for start in range(self.d):
-            if not pattern[start] or start in seen:
-                continue
-            seen.add(start)
-            comp = [start]
-            for u in comp:
-                for w, _ in self.incident[u + 1]:
-                    if pattern[w - 1] and w - 1 not in seen:
-                        seen.add(w - 1)
-                        comp.append(w - 1)
-            if len(comp) == 1:
+        support = to_mask(v for v, on in enumerate(pattern, 1) if on)
+        groups = []
+        for comp, _ in mask_components(self.graph, support):
+            if not comp & (comp - 1):  # a single vertex
                 return None
-            groups.append(tuple(comp))
+            groups.append(tuple(v - 1 for v in bits(comp)))
         return tuple(groups)
 
     def decide(self, x: Vector) -> bool:
         """Membership of x; the prune runs here, once, above the table.
 
         x must be nonnegative; this is not checked.  ``in_S``,
-        ``_in_S_decide`` and ``in_S_cap_F`` validate their input, and gap
-        candidates are sums of nonnegative vectors.
+        ``in_S_cap_F`` and ``serre.in_SF_bounded`` check signs first, and
+        gap candidates are sums of nonnegative vectors.
         """
         deg = sum(x)
         if deg // 2 >= len(self.levels) and not self._prune(x):
@@ -218,38 +221,35 @@ class _EdgeSumSearch:
 
 @lru_cache(maxsize=64)
 def _search_engine(g: Graph) -> _EdgeSumSearch:
-    return _EdgeSumSearch(_require_full(g), g.edges)
-
-
-@lru_cache(maxsize=128)
-def _edge_lattice(g: Graph) -> IntegerLattice:
-    d = _require_full(g)
-    lat = IntegerLattice(d)
-    for e in g.edges:
-        lat.add(rho_vector(d, e))
-    return lat
+    return _EdgeSumSearch(g)
 
 
 def in_lattice(g: Graph, x) -> bool:
-    """Membership of an integer vector (signs allowed) in the lattice
-    generated by the edge vectors.
+    """Membership of an integer vector (signs allowed) in the lattice L
+    generated by the edge vectors of a connected graph G.
 
-    Primary route reduces x against the triangular basis; the closed
-    form (even coordinate sum for connected non-bipartite G, balanced
-    sides for connected bipartite G) is asserted to agree.
+    Lemma: x is in L iff sum(x) is even when G has an odd cycle, and
+    iff x(A) = x(B) when G is bipartite with sides A and B.
+
+    Proof.  Each edge vector has sum 2 and one unit on each side, so L
+    meets both conditions.  Conversely, the alternating sum of the edge
+    vectors along a walk of length k from u to w is e_u + (-1)^(k-1) e_w,
+    so e_u - e_w is in L when an even u-w walk exists.  Bipartite: two
+    vertices on one side are joined by an even path, so moving mass
+    within each side reduces x to x(A) e_a + x(B) e_b for an edge ab, a
+    multiple of rho(ab) when x(A) = x(B).  Odd cycle: a detour round the
+    cycle makes some u-w walk even for all u, w, so x reduces to
+    sum(x) e_u, and 2 e_u = rho(uw) + (e_u - e_w) for a neighbour w.
+    (Grossman, Kulkarni and Schochetman, Linear Algebra Appl. 218, 1995.)
     """
     vec = _check_vector(g, x)
     if not is_connected(g):
         raise UnsupportedGraphError("lattice membership implemented for connected graphs")
-    result = _edge_lattice(g).contains(vec)
     parts = bipartition(g)
     if parts is None:
-        closed = sum(vec) % 2 == 0
-    else:
-        first, second = parts
-        closed = sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
-    assert result == closed, f"lattice routes disagree on {vec}"
-    return result
+        return sum(vec) % 2 == 0
+    first, second = parts
+    return sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
 
 
 def in_cone(g: Graph, x) -> bool:
@@ -288,13 +288,6 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
     if any(v < 0 for v in vec):
         raise ValueError("semigroup members are nonnegative; got a negative coordinate")
     return _search_engine(g).witness(vec)
-
-
-def _in_S_decide(g: Graph, vec: Vector) -> bool:
-    """Boolean core of in_S; tolerates negative entries (returns False)."""
-    if any(v < 0 for v in vec) or sum(vec) % 2 == 1:
-        return False
-    return _search_engine(g).decide(vec)
 
 
 def normalization_generators(g: Graph) -> list[Vector]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import add
 
 from .cycles import ExceptionalPair, exceptional_pairs
 from .facets import (
@@ -39,7 +40,7 @@ from .semigroup import (
     _check_vector,
     _EdgeSumSearch,
     _edge_sum_levels,
-    _in_S_decide,
+    _search_engine,
     gap_elements,
     in_lattice,
     in_S,
@@ -142,7 +143,7 @@ def in_S_cap_F(g: Graph, f: Facet, y) -> MembershipWitness | None:
     vec = _check_vector(g, y)
     if any(v < 0 for v in vec):
         raise ValueError("semigroup members are nonnegative; got a negative coordinate")
-    return _EdgeSumSearch(g.n_vertices, tuple(generators_on_facet(g, f))).witness(vec)
+    return _EdgeSumSearch(Graph(g.vertices, tuple(generators_on_facet(g, f)))).witness(vec)
 
 
 def _facet_semigroup_bounded(g: Graph, f: Facet, bound: int) -> list[Vector]:
@@ -208,9 +209,11 @@ def in_SF_bounded(
     tables = {} if tables is None else tables
     if (f, search_bound) not in tables:
         tables[f, search_bound] = _facet_semigroup_bounded(g, f, search_bound)
+    engine = _search_engine(g)
     for y in tables[f, search_bound]:
-        shifted = tuple(a + b for a, b in zip(vec, y))
-        if _in_S_decide(g, shifted):
+        shifted = tuple(map(add, vec, y))
+        # a signed alpha can leave negative entries, which decide assumes away
+        if min(shifted) >= 0 and engine.decide(shifted):
             return BoundedMembership(YES, y=y, witness=in_S(g, shifted))
     return BoundedMembership(NO_UP_TO_BOUND)
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and shared graph constructions for the
 test suite.  These deliberately avoid the library's own algorithms where
 they act as a second route: cycle enumeration here is plain DFS over all
-simple cycles, and facet enumeration solves null spaces of generator
-subsets with Fraction arithmetic.
+simple cycles, facet enumeration solves null spaces of generator subsets
+with Fraction arithmetic, and the edge lattice and integer rank come from
+a triangular lattice basis kept by extended-gcd row reduction.
 """
 
 from __future__ import annotations
@@ -116,6 +117,117 @@ def odd_cycle_condition_bruteforce(g: Graph) -> bool:
     return True
 
 
+# -- integer lattice by extended-gcd row reduction ---------------------
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+class IntegerLattice:
+    """Integer span of added vectors, kept as a triangular basis.
+
+    Rows are sorted by pivot column and each pivot entry is positive.
+    Membership reduces against the basis; it succeeds iff every pivot
+    divides the running entry and the remainder reaches zero.  The rank
+    is the number of basis rows.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[list[int]] = []
+
+    @staticmethod
+    def _pivot(row) -> int | None:
+        for idx, val in enumerate(row):
+            if val:
+                return idx
+        return None
+
+    def _row_at_pivot(self, j: int) -> int | None:
+        for pos, row in enumerate(self.rows):
+            p = self._pivot(row)
+            if p == j:
+                return pos
+            if p is not None and p > j:
+                return None
+        return None
+
+    def add(self, vec) -> None:
+        if len(vec) != self.dim:
+            raise ValueError("dimension mismatch")
+        v = list(vec)
+        while True:
+            j = self._pivot(v)
+            if j is None:
+                return
+            pos = self._row_at_pivot(j)
+            if pos is None:
+                if v[j] < 0:
+                    v = [-t for t in v]
+                self.rows.append(v)
+                self.rows.sort(key=lambda r: self._pivot(r))
+                return
+            row = self.rows[pos]
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                v = [t - q * s for t, s in zip(v, row)]
+            else:
+                g, x, y = xgcd(a, b)
+                new_row = [x * s + y * t for s, t in zip(row, v)]
+                v = [(a // g) * t - (b // g) * s for s, t in zip(row, v)]
+                self.rows[pos] = new_row
+
+    def contains(self, vec) -> bool:
+        if len(vec) != self.dim:
+            raise ValueError("dimension mismatch")
+        v = list(vec)
+        while True:
+            j = self._pivot(v)
+            if j is None:
+                return True
+            pos = self._row_at_pivot(j)
+            if pos is None:
+                return False
+            row = self.rows[pos]
+            if v[j] % row[j] != 0:
+                return False
+            q = v[j] // row[j]
+            v = [t - q * s for t, s in zip(v, row)]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def lattice_of(dim: int, rows) -> IntegerLattice:
+    lat = IntegerLattice(dim)
+    for row in rows:
+        lat.add(row)
+    return lat
+
+
+def edge_lattice(g: Graph) -> IntegerLattice:
+    """The lattice spanned by the edge vectors of a graph on labels 1..d."""
+    from edgering.linalg import rho_vector
+
+    return lattice_of(g.n_vertices, [rho_vector(g.n_vertices, e) for e in g.edges])
+
+
 # -- brute force facet enumeration ------------------------------------
 
 
@@ -168,7 +280,7 @@ def facet_normals_bruteforce(g: Graph) -> set[tuple[int, ...]]:
 
     Exponential in the edge count; meant for small graphs only.
     """
-    from edgering.linalg import integer_rank, rho_vector
+    from edgering.linalg import rho_vector
 
     d = g.n_vertices
     gens = [rho_vector(d, e) for e in g.edges]
@@ -185,7 +297,7 @@ def facet_normals_bruteforce(g: Graph) -> set[tuple[int, ...]]:
         else:
             continue
         contact = [gen for gen in gens if sum(n * x for n, x in zip(normal, gen)) == 0]
-        if integer_rank(contact, d) == d - 1:
+        if lattice_of(d, contact).rank == d - 1:
             out.add(normal)
     return out
 

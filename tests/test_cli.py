@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import helpers
+from edgering import cli
 from edgering.graph import parse_graph, write_graph
 
 
@@ -181,6 +184,16 @@ def test_jobs_below_one_rejected():
             assert proc.returncode == 2, (command, jobs)
             assert "--jobs" in proc.stderr
             assert proc.stdout == ""
+
+
+def test_theorem_results_rejects_jobs_below_one(monkeypatch):
+    def no_work(_):
+        raise AssertionError("a graph was classified")
+
+    monkeypatch.setattr(cli, "_theorem_job", no_work)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            cli.theorem_results(7, [8], jobs=jobs)
 
 
 def test_additions_report_independent_of_jobs():

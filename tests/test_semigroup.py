@@ -58,10 +58,11 @@ def test_in_lattice_bipartite():
     assert in_lattice(c6, (1, 1, 0, 0, 0, 0))
     assert not in_lattice(c6, (1, 0, 1, 0, 0, 0))  # both odd-side
     assert in_lattice(c6, (1, 0, 1, 0, 0, 2))  # sides balance 2 = 2
+    lattice = helpers.edge_lattice(c6)
     rng = random.Random(17)
     for _ in range(50):
         vec = tuple(rng.randint(-3, 3) for _ in range(6))
-        in_lattice(c6, vec)  # internal closed-form assertion must hold
+        assert in_lattice(c6, vec) == lattice.contains(vec), vec
 
 
 def test_in_cone(g33):
@@ -219,11 +220,20 @@ def test_pair_plus_hub_edge_in_S():
 
 
 @st.composite
-def connected_graph(draw, dmin=2, dmax=8):
-    """A random spanning tree plus random extra edges."""
+def connected_graph(draw, dmin=2, dmax=8, bipartite=False):
+    """A random spanning tree plus random extra edges; with ``bipartite``
+    the extra edges only join the two colour classes of the tree."""
     d = draw(st.integers(dmin, dmax))
     tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, d + 1)]
-    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    side = {1: 0}
+    for u, v in tree:
+        side[v] = 1 - side[u]
+    pairs = [
+        (i, j)
+        for i in range(1, d + 1)
+        for j in range(i + 1, d + 1)
+        if not bipartite or side[i] != side[j]
+    ]
     extra = draw(st.sets(st.sampled_from(pairs), max_size=2 * d))
     return Graph.from_edge_list(d, set(tree) | extra)
 
@@ -263,7 +273,7 @@ def test_table_lookup_matches_plain_search(g):
     """Every formula-route candidate gets the same answer from the table
     lookup as from a fresh search that has no table and no shared memo."""
     candidates, _ = _gap_candidates(g, 12)
-    plain = _EdgeSumSearch(g.n_vertices, g.edges)
+    plain = _EdgeSumSearch(g)
     expected = sorted((a for a in candidates if not plain.decide(a)), key=lambda v: (sum(v), v))
     assert _gap_formula(g, 12) == expected
     # the table is dropped when the gap call ends
@@ -302,7 +312,26 @@ def test_prune_matches_fresh_traversal(g, data):
     odd[a - 1], odd[b - 1] = 2, 1
     base = [tuple([0] * d), tuple(alone), tuple(cut_off), tuple(odd), *vecs]
     same_pattern = [tuple(x + 1 if x else 0 for x in vec) for vec in base]
-    engine = _EdgeSumSearch(d, g.edges)
+    engine = _EdgeSumSearch(g)
     for x in base + same_pattern + base:
         assert engine._prune(x) == helpers.prune_reference(g, x), x
     assert len(engine.support) <= len(base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda bip: connected_graph(bipartite=bip)), st.data())
+def test_in_lattice_matches_gcd_oracle(g, data):
+    """The closed form agrees with extended-gcd reduction against a lattice
+    basis, on signed edge-vector combinations and on perturbations of them."""
+    d = g.n_vertices
+    lattice = helpers.edge_lattice(g)
+    small = st.integers(-3, 3)
+    for _ in range(4):
+        coeffs = data.draw(st.lists(small, min_size=g.n_edges, max_size=g.n_edges))
+        member = [0] * d
+        for c, (i, j) in zip(coeffs, g.edges):
+            member[i - 1] += c
+            member[j - 1] += c
+        shift = data.draw(st.lists(small, min_size=d, max_size=d))
+        for x in (member, [a + b for a, b in zip(member, shift)]):
+            assert in_lattice(g, x) == lattice.contains(x), x

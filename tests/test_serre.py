@@ -7,7 +7,7 @@ from edgering import serre
 from edgering.facets import FUNDAMENTAL_KIND, VERTEX_KIND, facets
 from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
 from edgering.graph import Graph, UnsupportedGraphError, connected_components, delete_vertex
-from edgering.semigroup import gap_elements, in_S
+from edgering.semigroup import gap_elements, in_lattice, in_S
 from edgering.serre import (
     NO_CERTIFIED,
     NO_UP_TO_BOUND,
@@ -86,6 +86,21 @@ def test_in_SF_bounded_member_takes_zero_shift(g33):
     member = (1, 1, 0, 0, 1, 1, 0)
     res = in_SF_bounded(g, vertex_facet(g, 4), member)
     assert res.status == YES and res.y == (0,) * 7
+
+
+def test_in_SF_bounded_signed_candidates(g33):
+    """Lattice vectors with a negative coordinate are valid input: a shift
+    that leaves a negative entry is skipped, never searched."""
+    g = g33.graph
+    fw = vertex_facet(g, 4)
+    hub = (0, 0, 0, -4, 0, 0, 0)  # no on-facet y touches the hub
+    pair = (-2, -2, 0, 0, 0, 0, 0)  # y = 2 rho(1, 2) cancels it
+    assert in_lattice(g, hub) and in_lattice(g, pair)
+    assert in_SF_bounded(g, fw, hub).status == NO_UP_TO_BOUND
+    assert in_SF_bounded(g, fw, pair, search_bound=2).status == NO_UP_TO_BOUND
+    res = in_SF_bounded(g, fw, pair, search_bound=4)
+    assert res.status == YES and res.y == (2, 2, 0, 0, 0, 0, 0)
+    assert res.witness.multiplicities == ()
 
 
 def test_in_SF_bounded_validates_lattice(g33):
