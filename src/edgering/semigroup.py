@@ -14,12 +14,12 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, ge, sub
 
 import numpy as np
 
 from .cycles import exceptional_pairs, is_cycle_of
-from .facets import facets
+from .facets import facets, regular_vertex_components
 from .graph import (
     Edge,
     Graph,
@@ -102,7 +102,8 @@ class _EdgeSumSearch:
     monoid in those degrees, by construction.  The branching above runs
     only until the degree falls into the table.  Outside ``lookup`` the
     table is just the zero vector.  The table never outlives the call
-    that supplies it, because engines are shared through an LRU cache.
+    that supplies it, because engines are shared through an LRU cache;
+    ``_gap_formula`` holds one table for its closure, covers and fallback.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -311,62 +312,131 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[s
     return levels
 
 
-def _gap_candidates(g: Graph, degree_bound: int) -> tuple[set[Vector], list[set[Vector]]]:
-    """The candidates beta + gamma of the formula route, and the edge-sum
-    levels they were built from.
-
-    gamma runs over the nonzero sums of normalization generators with
-    degree <= degree_bound, beta over the sums of k edge vectors with
-    2k + deg(gamma) <= degree_bound.  ``levels[k]`` holds all sums of
-    exactly k edge vectors for 2k <= degree_bound - min deg(gamma).
-    """
-    d = g.n_vertices
-    gens = normalization_generators(g)
-    if not gens:
-        return set(), []
-    # all nonzero nonnegative-integer combinations of the generators
-    gammas: set[Vector] = set()
-    frontier: set[Vector] = {tuple([0] * d)}
+def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound: int) -> list[Vector]:
+    """Step A of ``_gap_formula``: close ``gens`` under adding a generator,
+    to degree <= degree_bound, keeping y only when it is neither in S nor
+    in m + S for an m kept before.  ``engine`` must be inside ``lookup``."""
+    module: list[Vector] = []
+    seen, frontier = set(gens), sorted(gens, key=sum)
     while frontier:
-        nxt: set[Vector] = set()
-        for base in frontier:
-            for gen in gens:
-                s = tuple(map(add, base, gen))
-                if sum(s) <= degree_bound and s not in gammas:
-                    gammas.add(s)
-                    nxt.add(s)
-        frontier = nxt
-    if not gammas:
-        return set(), []
-    min_gamma = min(sum(s) for s in gammas)
-    levels = _edge_sum_levels(d, g.edges, degree_bound - min_gamma)
-    candidates = {
-        tuple(map(add, beta, gamma))
-        for gamma in gammas
-        for k in range((degree_bound - sum(gamma)) // 2 + 1)
-        for beta in levels[k]
+        grown: set[Vector] = set()
+        for y in frontier:
+            if engine.decide(y) or any(
+                all(map(ge, y, m)) and engine.decide(tuple(map(sub, y, m))) for m in module
+            ):
+                continue
+            module.append(y)
+            for z in (tuple(map(add, y, gen)) for gen in gens):
+                if sum(z) <= degree_bound and z not in seen:
+                    seen.add(z)
+                    grown.add(z)
+        frontier = sorted(grown, key=sum)
+    return module
+
+
+def _certifying_vertices(g: Graph, x: Vector) -> int:
+    """C(x) as a bitmask: the regular v with x_v = 0 and a component of
+    G minus v of odd x-weight."""
+    return to_mask(
+        v for v in g.vertices
+        if not x[v - 1]
+        and any(sum(x[u - 1] for u in comp) % 2 for comp in regular_vertex_components(g, v) or ())
+    )
+
+
+def _covers_in_S(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: int) -> bool:
+    """Step C of ``_gap_formula`` for x with C(x) = ``cover``: depth-first,
+    the lowest vertex of C(x) that no chosen edge meets branches over its
+    edges; each final vector of degree <= degree_bound is decided once."""
+    seen: set[Vector] = set()
+
+    def grow(vec: Vector, left: int, deg: int) -> bool:
+        if deg > degree_bound or (not left and vec in seen):
+            return True
+        if not left:
+            seen.add(vec)
+            return engine.decide(vec)
+        v = (left & -left).bit_length() - 1
+        for w, (i, j) in engine.incident[v]:
+            child = list(vec)
+            child[i - 1] += 1
+            child[j - 1] += 1
+            if not grow(tuple(child), left & ~(1 << v | 1 << w), deg + 2):
+                return False
+        return True
+
+    return grow(x, cover, sum(x))
+
+
+def _gap_proof(g: Graph, engine: _EdgeSumSearch, module: list[Vector], degree_bound: int) -> list[int] | None:
+    """Steps B and C of ``_gap_formula``: C(x) per x in M, or None."""
+    covers = [_certifying_vertices(g, x) for x in module]
+    if all(covers) and all(_covers_in_S(engine, x, c, degree_bound) for x, c in zip(module, covers)):
+        return covers
+    return None
+
+
+def _gap_candidates(module: list[Vector], levels: list[set[Vector]], degree_bound: int,
+                    covers: list[int] | None = None) -> set[Vector]:
+    """x + beta for x in M and beta in ``levels[k]``, 2k <= degree_bound -
+    deg(x); given ``covers``, only those with beta zero somewhere on C(x),
+    tested once per zero pattern of the level elements."""
+    by_zeros: list[dict[int, list[Vector]]] = [{} for _ in levels]
+    for groups, level in zip(by_zeros, levels):
+        for beta in level:
+            groups.setdefault(to_mask(v for v, c in enumerate(beta, 1) if not c), []).append(beta)
+    return {
+        tuple(map(add, x, beta))
+        for i, x in enumerate(module)
+        for k in range((degree_bound - sum(x)) // 2 + 1)
+        for zeros, betas in by_zeros[k].items()
+        if covers is None or zeros & covers[i]
+        for beta in betas
     }
-    return candidates, levels
 
 
 def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
-    """Formula route: the candidates beta + gamma that are not in S.
+    """Formula route: the gap of degree <= b = degree_bound, read off a
+    proof where one holds, else decided candidate by candidate.
 
-    Membership is decided exactly, with no search bound.  A candidate
-    of degree 2k inside the table (2k <= degree_bound - min deg(gamma))
-    is in S iff it lies in ``levels[k]``, because that set is every sum
-    of k edge vectors.  Above the table, ``_EdgeSumSearch`` branches on
-    the lowest vertex with positive demand, over every edge that can
-    cover it; some edge of any decomposition covers that vertex, so the
-    branching loses no member, and each branch lowers the degree by 2
-    until the table answers.  The table is dropped when the call ends.
+    Gamma: the ``normalization_generators`` of degree <= b, so Sbar =
+    S + sum N.gamma (Ohsugi and Hibi, J. Algebra 207, 1998).  C(x): the
+    regular v with x_v = 0 and a component of G minus v of odd x-weight.
+
+    Step A (always).  M = ``_module_generators``.  Each alpha in Sbar of
+    degree <= b is in S or M + S: in alpha = s + gamma_1 + ... + gamma_r
+    each partial sum is in S or m + S, by induction, as gamma and each
+    m + gamma were kept in M, or found in S or in m' + S.  So x + beta,
+    x in M, beta in ``levels[k]``, 2k <= b - deg(x), covers the gap.
+    Step B: every C(x), x in M, is nonempty (generators checked first).
+    Step C (``_covers_in_S``): for x in M, choosing an edge at each
+    vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e) is in
+    S or of degree > b.
+
+    Lemma.  Under A-C the gap is exactly the x + beta above with beta_v =
+    0 for some v in C(x).  Proof.  If beta_v = 0, x + beta keeps an odd
+    component of G minus v, so it is not in S (``serre.vertex_parity_
+    certificate``).  If beta is positive on C(x), Step C can choose edges
+    of one decomposition of beta, all distinct, so x + beta lies in
+    (x + sum_E rho(e)) + S, inside S by Step C.
+
+    A proven graph thus needs no ``decide`` per candidate; otherwise each
+    candidate is decided against the same table.  S' = S is the (S2)
+    criterion (Trung and Hoa, Trans. AMS 298, 1986).  The table is
+    dropped when the call ends.
     """
-    candidates, levels = _gap_candidates(g, degree_bound)
-    if not candidates:
+    gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
+    if not gens:
         return []
+    provable = all(_certifying_vertices(g, x) for x in gens)
+    levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
     with _search_engine(g).lookup(levels) as engine:
-        gap = [alpha for alpha in candidates if not engine.decide(alpha)]
-    return sorted(gap, key=lambda v: (sum(v), v))
+        module = _module_generators(engine, gens, degree_bound)
+        covers = _gap_proof(g, engine, module, degree_bound) if provable else None
+        candidates = _gap_candidates(module, levels, degree_bound, covers)
+        if covers is None:
+            candidates = [alpha for alpha in candidates if not engine.decide(alpha)]
+    return sorted(candidates, key=lambda v: (sum(v), v))
 
 
 def _nonnegative_vectors(d: int, bound: int) -> list[Vector]:
@@ -407,10 +477,11 @@ def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
 def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula") -> list[Vector]:
     """All members of Sbar minus S with coordinate sum <= degree_bound.
 
-    Two independent routes are available: "formula" builds beta + gamma
-    from the semigroup plus normalization generators, "direct" filters
-    every bounded nonnegative vector through in_sbar and in_S.  "both"
-    runs the two and insists they agree.
+    Two independent routes are available: "formula" lists module
+    generators plus edge sums and reads the gap off parity certificates
+    where a cover check proves that exact (``_gap_formula``), else decides
+    each; "direct" filters every bounded nonnegative vector through in_sbar
+    and in_S.  "both" runs the two and insists they agree.
 
     Args:
         g: connected graph with an odd cycle, labels 1..d.

@@ -218,7 +218,7 @@ def in_SF_bounded(
     return BoundedMembership(NO_UP_TO_BOUND)
 
 
-def hk_not_s2(g: Graph) -> HkWitness | None:
+def hk_not_s2(g: Graph, pairs: list[ExceptionalPair] | None = None) -> HkWitness | None:
     """Search for an exceptional pair satisfying the sufficient criterion
     for refuting the depth condition:
 
@@ -228,8 +228,10 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
         pair, both cycles stay in one component after removing it.
 
     Returns the first passing pair in canonical order, or None.
+    ``pairs``, when given, must be ``exceptional_pairs(g)``; ``classify``
+    passes the list it already has, so the pair scan runs once.
     """
-    pairs = exceptional_pairs(g)
+    pairs = exceptional_pairs(g) if pairs is None else pairs
     if not pairs:
         return None
     closed_sets = []
@@ -325,7 +327,7 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         )
 
     t0 = time.perf_counter()
-    hk = hk_not_s2(g)
+    hk = hk_not_s2(g, pairs)
     timings["hk"] = (time.perf_counter() - t0) * 1000.0
     if hk is not None:
         return _report(

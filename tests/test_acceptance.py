@@ -36,7 +36,7 @@ from edgering.graph import (
     is_connected,
     neighborhood,
 )
-from edgering.linalg import in_rational_cone, integer_rank, rho_vector
+from edgering.linalg import in_rational_cone, rho_vector
 from edgering.semigroup import cycle_indicator, gap_elements, in_S, in_cone, in_sbar
 from edgering.serre import VERDICT_NOT_S2, VERDICT_S2_VERIFIED, classify, hk_not_s2
 
@@ -211,7 +211,7 @@ def test_criterion_5_cone_routes(capsys):
             if not f.validated:
                 continue
             rows = [rho_vector(d, e) for e in f.on_facet_edges]
-            if integer_rank(rows, d) != d - 1:
+            if helpers.lattice_of(d, rows).rank != d - 1:
                 failures.append((name, f.kind, f.vertices, "contact rank"))
         for _ in range(500):
             x = tuple(rng.randint(0, 6) for _ in range(d))

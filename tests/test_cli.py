@@ -1,12 +1,19 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
 from edgering import cli
+from edgering.families import graph_for_theorem
 from edgering.graph import parse_graph, write_graph
+
+GOLDEN_D9_TSV = Path(__file__).parent / "golden" / "verify_theorem_d9.tsv"
+# analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
+D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 
 
 def run_cli(*args, cwd=None):
@@ -204,3 +211,22 @@ def test_additions_report_independent_of_jobs():
     assert parallel.returncode == 0, parallel.stderr
     assert serial.stdout == parallel.stdout
     assert len(json.loads(serial.stdout)["rows"]) == 12 + 66
+
+
+def test_verify_theorem_d9_matches_golden(tmp_path):
+    """The whole d=9 sweep report, byte for byte."""
+    out = tmp_path / "d9.tsv"
+    proc = run_cli("verify-theorem", "--d", "9", "--format", "tsv", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == GOLDEN_D9_TSV.read_bytes()
+
+
+def test_analyze_theorem_graph_report_bytes(tmp_path):
+    """The full report of one theorem graph (gap, certificates and all) at
+    the default bounds, pinned by its SHA-256."""
+    path = write_file(tmp_path / "d8n13.graph", graph_for_theorem(8, 13).graph)
+    out = tmp_path / "report.json"
+    proc = run_cli("analyze", "--degree-bound", "16", "--search-bound", "12",
+                   "--input", path, "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == D8_N13_REPORT_SHA256

@@ -6,6 +6,7 @@ import helpers
 from edgering.facets import (
     FUNDAMENTAL_KIND,
     VERTEX_KIND,
+    _facet_from_normal,
     cone_dimension,
     facets,
     fundamental_sets,
@@ -137,14 +138,19 @@ def test_generators_on_facet_foreign(g33):
 
 
 def test_on_facet_rank_is_d_minus_1(g33):
-    from edgering.linalg import integer_rank
-
+    """Validation agrees with an independent rank, that of the extended-gcd
+    lattice of the on-facet edges.  The coordinate hyperplane of a
+    non-regular vertex supports the cone but is no facet."""
+    pendant = Graph.from_edge_list(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
+    not_a_facet = _facet_from_normal(pendant, VERTEX_KIND, (1,), (1, 0, 0, 0))
+    assert not not_a_facet.validated
+    candidates = [(pendant, not_a_facet)]
     for g in [g33.graph, helpers.complete_graph(5), helpers.bowtie_graph()]:
+        candidates.extend((g, f) for f in facets(g))
+    for g, f in candidates:
         d = g.n_vertices
-        for f in facets(g):
-            if f.validated:
-                rows = [rho_vector(d, e) for e in f.on_facet_edges]
-                assert integer_rank(rows, d) == d - 1
+        rows = [rho_vector(d, e) for e in f.on_facet_edges]
+        assert f.validated == (helpers.lattice_of(d, rows).rank == d - 1), (g.edges, f)
 
 
 def test_cone_dimension(g33):

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 import helpers
 from conftest import family_intermediates
 from edgering.cycles import exceptional_pairs
+from edgering.families import add_cross_edges, build_gab, cross_pairs, graph_for_theorem
 from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle
 from edgering.linalg import in_rational_cone, rho_vector
 from edgering.semigroup import (
+    _certifying_vertices,
     _EdgeSumSearch,
     _edge_sum_levels,
     _gap_candidates,
-    _gap_formula,
+    _gap_proof,
+    _module_generators,
     _nonnegative_vectors,
     _search_engine,
     cycle_indicator,
@@ -267,17 +270,97 @@ def with_exceptional_pair(draw, dmax=8):
     return g
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(with_exceptional_pair())
-def test_table_lookup_matches_plain_search(g):
-    """Every formula-route candidate gets the same answer from the table
-    lookup as from a fresh search that has no table and no shared memo."""
-    candidates, _ = _gap_candidates(g, 12)
-    plain = _EdgeSumSearch(g)
-    expected = sorted((a for a in candidates if not plain.decide(a)), key=lambda v: (sum(v), v))
-    assert _gap_formula(g, 12) == expected
-    # the table is dropped when the gap call ends
-    assert len(_search_engine(g).levels) == 1
+@st.composite
+def gab_with_cross_edges(draw):
+    """G(3,4) or G(4,4) plus up to two random cross edges."""
+    fam = build_gab(*draw(st.sampled_from([(3, 4), (4, 4)])))
+    return add_cross_edges(fam, draw(st.lists(st.sampled_from(cross_pairs(fam)), max_size=2, unique=True)))
+
+
+def _formula_route(g, bound):
+    """Module generators M, edge-sum levels and the proof outcome (C(x)
+    per x in M, or None), rebuilt on a fresh engine as the formula route
+    builds them."""
+    gens = [x for x in normalization_generators(g) if sum(x) <= bound]
+    levels = _edge_sum_levels(g.n_vertices, g.edges, bound - min(map(sum, gens)))
+    with _EdgeSumSearch(g).lookup(levels) as engine:
+        module = _module_generators(engine, gens, bound)
+        covers = _gap_proof(g, engine, module, bound)
+    return module, levels, covers
+
+
+def test_table_lookup_matches_plain_search():
+    """The gap equals a plain search, with no table and no shared memo,
+    over the same candidates M + levels[k], whichever route produced it;
+    both routes run on a stated share of the draws."""
+    proven = []
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(
+        st.one_of(with_exceptional_pair(dmax=9), gab_with_cross_edges(), connected_nonbipartite(dmax=9)),
+        st.sampled_from([6, 8, 10, 12]),
+    )
+    def check(g, bound):
+        gap = gap_elements(g, bound)
+        # the table is dropped when the gap call ends
+        assert len(_search_engine(g).levels) == 1
+        if not any(sum(x) <= bound for x in normalization_generators(g)):
+            assert gap == []
+            return
+        module, levels, covers = _formula_route(g, bound)
+        plain = _EdgeSumSearch(g)
+        candidates = _gap_candidates(module, levels, bound)
+        assert gap == sorted((a for a in candidates if not plain.decide(a)), key=lambda v: (sum(v), v))
+        proven.append(covers is not None)
+
+    check()
+    assert len(proven) >= 100
+    assert 0.3 * len(proven) <= sum(proven) <= 0.85 * len(proven), (sum(proven), len(proven))
+
+
+def test_theorem_graphs_are_proven():
+    """Every theorem graph for d = 7..9 takes the proven route at the
+    default degree bound."""
+    for d in (7, 8, 9):
+        for n in range(d + 1, (d * d - 7 * d + 24) // 2 + 1):
+            assert _formula_route(graph_for_theorem(d, n).graph, 16)[2] is not None, (d, n)
+
+
+def test_pool_graph_0_is_not_proven():
+    """The first localization pool graph fails Step B at a generator,
+    and the fallback search agrees with the direct route."""
+    g = Graph.from_edge_list(8, [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7),
+                                 (4, 6), (5, 6), (5, 8)])
+    assert not all(_certifying_vertices(g, x) for x in normalization_generators(g))
+    assert _formula_route(g, 8)[2] is None
+    assert len(gap_elements(g, 8, method="both")) > 0
+
+
+def test_cover_check_decides_the_route():
+    """Every module generator has a certifying vertex here, but a cover
+    vector of degree <= 10 is not in S, so the proof fails and the gap
+    still matches the direct route."""
+    g = Graph.from_edge_list(9, [(1, 3), (1, 7), (1, 8), (2, 3), (2, 4), (3, 4), (5, 6),
+                                 (5, 8), (5, 9), (6, 7), (8, 9)])
+    module, _, covers = _formula_route(g, 10)
+    assert all(_certifying_vertices(g, x) for x in module)
+    assert covers is None
+    assert len(gap_elements(g, 10, method="both")) > 0
+
+
+def test_module_generators_beyond_the_pairs():
+    """Four pairwise non-adjacent triangles on a hub: the sum of all four
+    indicators lies in no single pair vector plus S, so only the closure
+    of the generators puts it among the gap candidates."""
+    tris = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(4)]
+    edges = [(a, b) for t in tris for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
+    g = Graph.from_edge_list(13, edges + [(t[0], 13) for t in tris])
+    four = (1,) * 12 + (0,)
+    assert in_sbar(g, four) and in_S(g, four) is None
+    assert four in _formula_route(g, 12)[0]
+    assert four not in normalization_generators(g)
+    assert four in gap_elements(g, 12)
 
 
 @settings(max_examples=25, deadline=None)

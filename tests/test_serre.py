@@ -118,6 +118,17 @@ def test_hk_witness(g34):
     assert hk.same_component_sets == ()
 
 
+def test_hk_witness_same_with_pairs_passed_in(g34):
+    """classify hands its exceptional pairs to hk_not_s2; the witness is
+    the one a standalone call finds."""
+    for pair in [(1, 5), (2, 6), (3, 7)]:
+        g = add_cross_edges(g34, [pair])
+        hk = hk_not_s2(g)
+        assert hk is not None
+        assert hk_not_s2(g, serre.exceptional_pairs(g)) == hk
+        assert classify(g).hk_witness == hk
+
+
 def test_hk_none_cases(g33):
     assert hk_not_s2(g33.graph) is None
     assert hk_not_s2(helpers.complete_graph(5)) is None
