@@ -18,7 +18,7 @@ from operator import add, ge, sub
 
 import numpy as np
 
-from .cycles import exceptional_pairs, is_cycle_of
+from .cycles import ExceptionalPair, exceptional_pairs, is_cycle_of
 from .facets import facets, regular_vertex_components
 from .graph import (
     Edge,
@@ -96,14 +96,15 @@ class _EdgeSumSearch:
     other endpoint w has x_w > 0 too.  So x is a member iff x - rho(v, w)
     is one for some such edge; branching over those edges is complete.
 
-    Table: inside ``lookup(levels)``, where ``levels[k]`` holds every sum
-    of exactly k edge vectors, a vector of degree 2k with k < len(levels)
-    is a member iff it lies in ``levels[k]``: the table is the whole
-    monoid in those degrees, by construction.  The branching above runs
-    only until the degree falls into the table.  Outside ``lookup`` the
-    table is just the zero vector.  The table never outlives the call
-    that supplies it, because engines are shared through an LRU cache;
-    ``_gap_formula`` holds one table for its closure, covers and fallback.
+    Table: inside ``lookup(levels)``, where ``levels[k]`` is the dict of
+    ``_edge_sum_levels``, keyed by every sum of exactly k edge vectors, a
+    vector of degree 2k with k < len(levels) is a member iff it is a key
+    of ``levels[k]``: the table is the whole monoid in those degrees, by
+    construction.  The branching above runs only until the degree falls
+    into the table.  Outside ``lookup`` the table is just the zero vector.
+    The table never outlives the call that supplies it, because engines
+    are shared through an LRU cache; ``_gap_formula`` holds one table for
+    its closure, covers and fallback.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -132,13 +133,13 @@ class _EdgeSumSearch:
             incident[j].append((i, e))
         self.incident = {v: tuple(sorted(lst)) for v, lst in incident.items()}
         self.failed: set[Vector] = set()
-        self.levels: list[set[Vector]] = [{tuple([0] * d)}]
+        self.levels: list[dict[Vector, int]] = [{tuple([0] * d): 0}]
         self.support: dict[tuple[bool, ...], tuple[tuple[int, ...], ...] | None] = {}
 
     @contextmanager
-    def lookup(self, levels: list[set[Vector]]):
-        """Answer degree 2k, for k < len(levels), from ``levels[k]``, which
-        must hold all sums of exactly k edge vectors."""
+    def lookup(self, levels: list[dict[Vector, int]]):
+        """Answer degree 2k, for k < len(levels), from the keys of
+        ``levels[k]``, which must be all sums of exactly k edge vectors."""
         saved = self.levels
         self.levels = levels
         try:
@@ -291,24 +292,52 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
     return _search_engine(g).witness(vec)
 
 
-def normalization_generators(g: Graph) -> list[Vector]:
+def normalization_generators(g: Graph, pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
     """The vectors E_C + E_C' over exceptional pairs (C, C'), deduplicated
-    and sorted; empty iff the odd cycle condition holds."""
+    and sorted; empty iff the odd cycle condition holds.
+
+    ``pairs``, when given, must be ``exceptional_pairs(g)``; ``classify``
+    passes the list it already has, so the pair scan runs once.
+    """
     d = _require_full(g)
     out: set[Vector] = set()
-    for c1, c2 in exceptional_pairs(g):
+    for c1, c2 in exceptional_pairs(g) if pairs is None else pairs:
         mem = set(c1) | set(c2)
         out.add(tuple(1 if v in mem else 0 for v in range(1, d + 1)))
     return sorted(out)
 
 
-def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[set[Vector]]:
-    """levels[k] = distinct sums of exactly k edge vectors, k <= max_degree // 2."""
-    zero = tuple([0] * d)
-    levels: list[set[Vector]] = [{zero}]
-    rhos = [rho_vector(d, e) for e in edges]
+def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[dict[Vector, int]]:
+    """levels[k] maps each distinct sum of exactly k edge vectors, k <=
+    max_degree // 2, to its support mask (bit v for label v, as in
+    ``to_mask``).
+
+    Canonical rule: a base of level k-1 whose lowest positive vertex is m
+    (m = d + 1 for the zero vector) gains only the edges (u, w), u < w,
+    with u <= m.  The edges are sorted by u, so the scan stops at the
+    first u > m.
+
+    Lemma.  The rule yields exactly the sums of k edge vectors.  Proof.
+    It only adds edge vectors, so it yields nothing else.  Take x in
+    level k with lowest positive vertex m.  Some edge of a decomposition
+    of x covers m; its other endpoint w has x_w > 0, so w > m.  Then
+    x - rho(m, w) is in level k-1, and its lowest positive vertex is
+    >= m, so the rule adds (m, w) to it and reaches x.
+    """
+    levels: list[dict[Vector, int]] = [{tuple([0] * d): 0}]
+    steps = [(u, u - 1, w - 1, 1 << u | 1 << w) for u, w in sorted(edges)]
     for _ in range(max_degree // 2):
-        levels.append({tuple(map(add, base, rv)) for base in levels[-1] for rv in rhos})
+        level: dict[Vector, int] = {}
+        for base, supp in levels[-1].items():
+            m = (supp & -supp).bit_length() - 1 if supp else d + 1
+            for u, i, j, edge_mask in steps:
+                if u > m:
+                    break
+                child = list(base)
+                child[i] += 1
+                child[j] += 1
+                level[tuple(child)] = supp | edge_mask
+        levels.append(level)
     return levels
 
 
@@ -376,26 +405,27 @@ def _gap_proof(g: Graph, engine: _EdgeSumSearch, module: list[Vector], degree_bo
     return None
 
 
-def _gap_candidates(module: list[Vector], levels: list[set[Vector]], degree_bound: int,
+def _gap_candidates(module: list[Vector], levels: list[dict[Vector, int]], degree_bound: int,
                     covers: list[int] | None = None) -> set[Vector]:
     """x + beta for x in M and beta in ``levels[k]``, 2k <= degree_bound -
-    deg(x); given ``covers``, only those with beta zero somewhere on C(x),
-    tested once per zero pattern of the level elements."""
-    by_zeros: list[dict[int, list[Vector]]] = [{} for _ in levels]
-    for groups, level in zip(by_zeros, levels):
-        for beta in level:
-            groups.setdefault(to_mask(v for v, c in enumerate(beta, 1) if not c), []).append(beta)
+    deg(x); given ``covers``, only those with beta zero somewhere on C(x).
+    The level elements are grouped by their stored support mask, so that
+    test runs once per mask."""
+    by_support: list[dict[int, list[Vector]]] = [{} for _ in levels]
+    for groups, level in zip(by_support, levels):
+        for beta, supp in level.items():
+            groups.setdefault(supp, []).append(beta)
     return {
         tuple(map(add, x, beta))
         for i, x in enumerate(module)
         for k in range((degree_bound - sum(x)) // 2 + 1)
-        for zeros, betas in by_zeros[k].items()
-        if covers is None or zeros & covers[i]
+        for supp, betas in by_support[k].items()
+        if covers is None or covers[i] & ~supp
         for beta in betas
     }
 
 
-def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
+def _gap_formula(g: Graph, degree_bound: int, pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
     """Formula route: the gap of degree <= b = degree_bound, read off a
     proof where one holds, else decided candidate by candidate.
 
@@ -423,9 +453,10 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     A proven graph thus needs no ``decide`` per candidate; otherwise each
     candidate is decided against the same table.  S' = S is the (S2)
     criterion (Trung and Hoa, Trans. AMS 298, 1986).  The table is
-    dropped when the call ends.
+    dropped when the call ends.  ``pairs`` is passed on to
+    ``normalization_generators``.
     """
-    gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
+    gens = [x for x in normalization_generators(g, pairs) if sum(x) <= degree_bound]
     if not gens:
         return []
     provable = all(_certifying_vertices(g, x) for x in gens)
@@ -474,7 +505,8 @@ def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
     return sorted(gap, key=lambda v: (sum(v), v))
 
 
-def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula") -> list[Vector]:
+def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula",
+                 pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
     """All members of Sbar minus S with coordinate sum <= degree_bound.
 
     Two independent routes are available: "formula" lists module
@@ -487,6 +519,8 @@ def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula") -> l
         g: connected graph with an odd cycle, labels 1..d.
         degree_bound: positive even bound on the coordinate sum.
         method: "formula" (default), "direct", or "both".
+        pairs: ``exceptional_pairs(g)`` when the caller already has them;
+            the formula route then skips its own pair scan.
 
     Returns:
         Sorted list of gap vectors (by coordinate sum, then lex).
@@ -499,11 +533,11 @@ def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula") -> l
     if degree_bound <= 0 or degree_bound % 2 == 1:
         raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
     if method == "formula":
-        return _gap_formula(g, degree_bound)
+        return _gap_formula(g, degree_bound, pairs)
     if method == "direct":
         return _gap_direct(g, degree_bound)
     if method == "both":
-        formula = _gap_formula(g, degree_bound)
+        formula = _gap_formula(g, degree_bound, pairs)
         direct = _gap_direct(g, degree_bound)
         if formula != direct:
             raise AssertionError(

@@ -148,7 +148,8 @@ def in_S_cap_F(g: Graph, f: Facet, y) -> MembershipWitness | None:
 
 def _facet_semigroup_bounded(g: Graph, f: Facet, bound: int) -> list[Vector]:
     """All members of S on the facet with coordinate sum <= bound,
-    ordered by (degree, lex); starts with the zero vector.
+    ordered by (degree, lex); starts with the zero vector.  These are the
+    sorted keys of each ``_edge_sum_levels`` dict over the on-facet edges.
 
     Built fresh on every call; ``in_SF_bounded`` keeps one per facet in
     the ``tables`` dict its caller passes.
@@ -341,7 +342,7 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         )
 
     t0 = time.perf_counter()
-    gap = tuple(gap_elements(g, degree_bound, method="formula"))
+    gap = tuple(gap_elements(g, degree_bound, method="formula", pairs=pairs))
     timings["gap"] = (time.perf_counter() - t0) * 1000.0
     if not gap:
         # non-normal for sure, but the degree bound shows no gap element
@@ -357,18 +358,23 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
 
     t0 = time.perf_counter()
     validated = [f for f in facets(g) if f.validated]
-    vertex_facets = [f for f in validated if f.kind == VERTEX_KIND]
+    # (v, v - 1, 0-based component index tuples) per validated vertex facet,
+    # so the parity test runs inline and the certificate is built once
+    parity_checks = [
+        (v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in regular_vertex_components(g, v)))
+        for v in (f.vertices[0] for f in validated if f.kind == VERTEX_KIND)
+    ]
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
     tables: dict[tuple[Facet, int], list[Vector]] = {}  # dropped when classify returns
     for alpha in gap:
-        cert = None
-        for f in vertex_facets:
-            cert = vertex_parity_certificate(g, f.vertices[0], alpha)
-            if cert is not None:
-                break
-        if cert is not None:
-            certificates.append(cert)
+        v = next(
+            (v for v, i, comps in parity_checks
+             if not alpha[i] and any(sum(map(alpha.__getitem__, comp)) % 2 for comp in comps)),
+            None,
+        )
+        if v is not None:
+            certificates.append(vertex_parity_certificate(g, v, alpha))
             continue
         if all(in_SF_bounded(g, f, alpha, search_bound, tables).status == YES for f in validated):
             timings["exclusion"] = (time.perf_counter() - t0) * 1000.0

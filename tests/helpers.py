@@ -360,6 +360,31 @@ def facet_semigroup_reference(g: Graph, f, bound: int) -> list[tuple[int, ...]]:
     return [y for y in out if sum(y) <= bound]
 
 
+def edge_sum_levels_reference(d: int, edges, max_degree: int) -> list[set[tuple[int, ...]]]:
+    """levels[k] = distinct sums of exactly k edge vectors, k <= max_degree // 2,
+    formed as every level k-1 sum plus every edge vector."""
+    rhos = [tuple(1 if v in e else 0 for v in range(1, d + 1)) for e in edges]
+    levels: list[set[tuple[int, ...]]] = [{tuple([0] * d)}]
+    for _ in range(max_degree // 2):
+        levels.append({tuple(x + y for x, y in zip(base, rv)) for base in levels[-1] for rv in rhos})
+    return levels
+
+
+def vertex_certificate_reference(g: Graph, alpha):
+    """The first exclusion certificate over the validated vertex facets,
+    in facet order, from one ``vertex_parity_certificate`` call per facet;
+    None when no vertex facet certifies alpha."""
+    from edgering.facets import VERTEX_KIND, facets
+    from edgering.serre import vertex_parity_certificate
+
+    for f in facets(g):
+        if f.validated and f.kind == VERTEX_KIND:
+            cert = vertex_parity_certificate(g, f.vertices[0], alpha)
+            if cert is not None:
+                return cert
+    return None
+
+
 # -- set-based references for the bitmask graph kernel -------------------
 #
 # The traversals the library ran before its graph routines moved onto

@@ -8,7 +8,7 @@ import helpers
 from conftest import family_intermediates
 from edgering.cycles import exceptional_pairs
 from edgering.families import add_cross_edges, build_gab, cross_pairs, graph_for_theorem
-from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle
+from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle, to_mask
 from edgering.linalg import in_rational_cone, rho_vector
 from edgering.semigroup import (
     _certifying_vertices,
@@ -371,7 +371,31 @@ def test_edge_sum_levels_are_S_by_degree(g):
     for k, level in enumerate(levels):
         degree_2k = (x for x in _nonnegative_vectors(d, 2 * k) if sum(x) == 2 * k)
         members = {x for x in degree_2k if in_S(g, x) is not None}
-        assert level == members
+        assert level.keys() == members
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(connected_graph(), gab_with_cross_edges()), st.sampled_from([0, 2, 4, 6, 8]))
+def test_edge_sum_levels_match_reference(g, max_degree):
+    """The canonical rule reaches the same sums as adding every edge to
+    every base, and each sum is stored with its support mask."""
+    d = g.n_vertices
+    levels = _edge_sum_levels(d, g.edges, max_degree)
+    reference = helpers.edge_sum_levels_reference(d, g.edges, max_degree)
+    assert [level.keys() for level in levels] == reference
+    for level in levels:
+        for beta, supp in level.items():
+            assert supp == to_mask(v for v, c in enumerate(beta, 1) if c), beta
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(with_exceptional_pair(dmax=9), gab_with_cross_edges()), st.sampled_from([6, 8, 10, 12]))
+def test_gap_same_with_pairs_passed_in(g, bound):
+    """Passing ``exceptional_pairs(g)`` in gives the same generators and
+    the same gap as the scan inside the gap stage."""
+    pairs = exceptional_pairs(g)
+    assert normalization_generators(g, pairs) == normalization_generators(g)
+    assert gap_elements(g, bound, pairs=pairs) == gap_elements(g, bound)
 
 
 @settings(max_examples=80, deadline=None)

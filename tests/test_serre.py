@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import helpers
 from edgering import serre
@@ -24,6 +25,7 @@ from edgering.serre import (
     in_SF_bounded,
     vertex_parity_certificate,
 )
+from test_semigroup import with_exceptional_pair
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
 
@@ -212,15 +214,49 @@ def test_theorem_certificates_unchanged(d):
         g = graph_for_theorem(d, n).graph
         rep = classify(g)
         assert rep.exhaustive and len(rep.certificates) == rep.gap_count
-        vertices = [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
         for cert, alpha in zip(rep.certificates, rep.gap):
-            first = next(
-                c for c in (vertex_parity_certificate(g, v, alpha) for v in vertices) if c is not None
-            )
-            assert cert == first
+            assert cert == helpers.vertex_certificate_reference(g, alpha)
             fresh = connected_components(delete_vertex(g, cert.vertex))
             odd = next(c for c in fresh if sum(alpha[u - 1] for u in c) % 2 == 1)
             assert cert.component == tuple(sorted(odd))
+
+
+def _certificates_match_reference(g, degree_bound, search_bound):
+    """classify's certificates equal the per-facet reference loop's on the
+    gap elements it examined (all of them, or up to the S' candidate);
+    returns the reference answer per examined element."""
+    rep = classify(g, degree_bound, search_bound)
+    stop = len(rep.gap) if rep.s_prime_candidate is None else rep.gap.index(rep.s_prime_candidate) + 1
+    reference = [helpers.vertex_certificate_reference(g, alpha) for alpha in rep.gap[:stop]]
+    assert list(rep.certificates) == [c for c in reference if c is not None]
+    return reference
+
+
+def test_pool_graph_0_certificates_match_reference():
+    """No vertex facet certifies any gap element of the first localization
+    pool graph at bounds 8/8, so classify must report no certificate."""
+    g = Graph.from_edge_list(8, [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7),
+                                 (4, 6), (5, 6), (5, 8)])
+    reference = _certificates_match_reference(g, 8, 8)
+    assert len(reference) == 8 and not any(reference)
+
+
+def test_certificates_match_reference_with_exceptional_pair():
+    """Random graphs with an exceptional pair, at bounds 8/4: enough draws
+    reach the exclusion stage, and some have gap elements that no vertex
+    facet certifies."""
+    examined = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(with_exceptional_pair(dmax=10))
+    def check(g):
+        examined.append(_certificates_match_reference(g, 8, 4))
+
+    check()
+    reached = [ref for ref in examined if ref]
+    assert len(reached) >= 40, len(reached)
+    assert any(None in ref for ref in reached)
 
 
 def test_gap_alignment_with_classify(g33):
