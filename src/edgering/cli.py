@@ -69,6 +69,48 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+# -- sweeps ------------------------------------------------------------
+
+
+def _map(job, work: list, jobs: int, chunksize: int) -> list:
+    """``job`` over ``work`` in input order: serially at ``jobs`` = 1, with
+    no pool, else in a pool of ``jobs`` processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return [job(w) for w in work]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(job, work, chunksize=chunksize))
+
+
+def _tsv_cell(value) -> str:
+    """A report value as one TSV cell; an edge list reads 1-5;2-6."""
+    if isinstance(value, list):
+        return ";".join(f"{i}-{j}" for i, j in value)
+    return str(value)
+
+
+def _sweep(args, label: str, rows_of, expected: set[str], header: dict, flag: str, cols: list[str]) -> int:
+    """Time ``rows_of()``; write ``header``, the rows and ``flag`` (every
+    verdict in ``expected``) as JSON, or the rows as TSV columns ``cols``,
+    and a summary on stderr.  Exits 0 iff the flag holds."""
+    t0 = time.perf_counter()
+    rows = rows_of()
+    elapsed = time.perf_counter() - t0
+    all_ok = all(r["verdict"] in expected for r in rows)
+    if args.format == "tsv":
+        lines = ["\t".join(cols)] + ["\t".join(_tsv_cell(r[c]) for c in cols) for r in rows]
+        _emit("\n".join(lines) + "\n", args.output)
+    else:
+        _emit(_dump_json({**header, "rows": rows, flag: all_ok}), args.output)
+    print(
+        f"{label}: {len(rows)} rows, {'all' if all_ok else 'NOT all'} "
+        f"{' or '.join(sorted(expected))}, {elapsed:.1f}s",
+        file=sys.stderr,
+    )
+    return EXIT_OK if all_ok else EXIT_VIOLATION
+
+
 # -- verify-theorem ----------------------------------------------------
 
 
@@ -95,58 +137,29 @@ def theorem_results(
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    work = [(d, n, degree_bound, search_bound) for n in n_values]
-    if jobs == 1:
-        return [_theorem_job(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_theorem_job, work, chunksize=1))
+    return _map(_theorem_job, [(d, n, degree_bound, search_bound) for n in n_values], jobs, 1)
 
 
 def _cmd_verify_theorem(args) -> int:
     valid = theorem_edge_range(args.d)
-    if args.n is not None:
-        if args.n not in valid:
-            raise ValueError(
-                f"n={args.n} outside the valid interval [{valid.start}, {valid.stop - 1}] for d={args.d}"
-            )
-        ns = [args.n]
-    else:
-        lo = valid.start if args.n_min is None else args.n_min
-        hi = valid.stop - 1 if args.n_max is None else args.n_max
-        if lo > hi or lo not in valid or hi not in valid:
-            raise ValueError(
-                f"range [{lo}, {hi}] outside the valid interval [{valid.start}, {valid.stop - 1}] for d={args.d}"
-            )
-        ns = list(range(lo, hi + 1))
-    t0 = time.perf_counter()
-    results = theorem_results(args.d, ns, args.degree_bound, args.search_bound, args.jobs)
-    elapsed = time.perf_counter() - t0
-    rows = [row for row, _ in results]
-    all_ok = all(r["verdict"] == VERDICT_S2_VERIFIED for r in rows)
-    report = {
-        "command": "verify-theorem",
-        "d": args.d,
-        "degree_bound": args.degree_bound,
-        "search_bound": args.search_bound,
-        "rows": rows,
-        "all_s2_verified": all_ok,
-    }
-    if args.format == "tsv":
-        cols = ["d", "n", "edges", "verdict", "exhaustive", "certificate_count"]
-        lines = ["\t".join(cols)]
-        for r in rows:
-            lines.append("\t".join(str(r[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_dump_json(report), args.output)
-    print(
-        f"verify-theorem d={args.d}: {len(rows)} rows, "
-        f"{'all' if all_ok else 'NOT all'} {VERDICT_S2_VERIFIED}, {elapsed:.1f}s",
-        file=sys.stderr,
+    if args.n is not None and (args.n_min is not None or args.n_max is not None):
+        raise ValueError("give either --n or --n-min/--n-max, not both")
+    lo = next(v for v in (args.n, args.n_min, valid.start) if v is not None)
+    hi = next(v for v in (args.n, args.n_max, valid.stop - 1) if v is not None)
+    if lo > hi or lo not in valid or hi not in valid:
+        counts = f"n={lo}" if args.n is not None else f"range [{lo}, {hi}]"
+        raise ValueError(f"{counts} outside the valid interval [{valid.start}, {valid.stop - 1}] for d={args.d}")
+    ns = list(range(lo, hi + 1))
+    return _sweep(
+        args,
+        f"verify-theorem d={args.d}",
+        lambda: [row for row, _ in theorem_results(args.d, ns, args.degree_bound, args.search_bound, args.jobs)],
+        {VERDICT_S2_VERIFIED},
+        {"command": "verify-theorem", "d": args.d, "degree_bound": args.degree_bound,
+         "search_bound": args.search_bound},
+        "all_s2_verified",
+        ["d", "n", "edges", "verdict", "exhaustive", "certificate_count"],
     )
-    return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
 # -- additions ---------------------------------------------------------
@@ -170,43 +183,20 @@ def _cmd_additions(args) -> int:
     max_extra = args.max_extra if args.max_extra is not None else len(pairs)
     if not (1 <= max_extra <= len(pairs)):
         raise ValueError(f"--max-extra must be in 1..{len(pairs)}")
-    subsets = [
-        subset
+    work = [
+        (fam, subset, args.degree_bound, args.search_bound)
         for size in range(1, max_extra + 1)
         for subset in itertools.combinations(pairs, size)
     ]
-    work = [(fam, s, args.degree_bound, args.search_bound) for s in subsets]
-    t0 = time.perf_counter()
-    if args.jobs <= 1:
-        rows = [_addition_job(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_addition_job, work, chunksize=8))
-    elapsed = time.perf_counter() - t0
-    expected = {VERDICT_NORMAL, VERDICT_NOT_S2}
-    all_ok = all(r["verdict"] in expected for r in rows)
-    report = {
-        "command": "additions",
-        "a": args.a,
-        "b": args.b,
-        "max_extra": max_extra,
-        "rows": rows,
-        "all_rows_expected": all_ok,
-    }
-    if args.format == "tsv":
-        lines = ["extra_edges\tedges\tverdict\texhaustive"]
-        for r in rows:
-            token = ";".join(f"{i}-{j}" for i, j in r["extra_edges"])
-            lines.append(f"{token}\t{r['edges']}\t{r['verdict']}\t{r['exhaustive']}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_dump_json(report), args.output)
-    print(
-        f"additions ({args.a},{args.b}) max_extra={max_extra}: {len(rows)} rows, "
-        f"{'all expected' if all_ok else 'UNEXPECTED verdicts'}, {elapsed:.1f}s",
-        file=sys.stderr,
+    return _sweep(
+        args,
+        f"additions ({args.a},{args.b}) max_extra={max_extra}",
+        lambda: _map(_addition_job, work, args.jobs, 8),
+        {VERDICT_NORMAL, VERDICT_NOT_S2},
+        {"command": "additions", "a": args.a, "b": args.b, "max_extra": max_extra},
+        "all_rows_expected",
+        ["extra_edges", "edges", "verdict", "exhaustive"],
     )
-    return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
 # -- analyze -----------------------------------------------------------

@@ -5,19 +5,23 @@ hyperplanes come in two shapes: coordinate hyperplanes x_v = 0 at
 regular vertices, and hyperplanes sum_{T} x = sum_{N(T)} x attached to
 fundamental independent sets T.  A candidate is a genuine facet exactly
 when its on-hyperplane edge vectors span a rank d-1 sublattice; we keep
-every candidate but flag the validated ones.
+every candidate but flag the validated ones, and the rank comes from
+fraction-free Gaussian elimination (``integer_rank``).  Cone membership
+does not read the facets; ``semigroup.in_cone`` decides it by a flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .graph import (
     Edge,
     Graph,
     UnsupportedGraphError,
     VertexSet,
+    bipartition,
     bits,
     contains_odd_cycle,
     delete_vertex,
@@ -25,8 +29,8 @@ from .graph import (
     mask_components,
     mask_neighbors,
     neighborhood,
+    rho_vector,
 )
-from .linalg import integer_rank, rho_vector
 
 VERTEX_KIND = "vertex"
 FUNDAMENTAL_KIND = "fundamental"
@@ -133,6 +137,32 @@ def _on_facet_edges(g: Graph, normal: tuple[int, ...]) -> list[Edge]:
     return out
 
 
+def integer_rank(rows: Sequence[Sequence[int]], dim: int | None = None) -> int:
+    """Rank over Q of integer row vectors, by fraction-free (Bareiss)
+    Gaussian elimination: every entry below the pivot rows is a minor of
+    the input, so the division by the previous pivot is exact."""
+    mat = [list(row) for row in rows]
+    if dim is None:
+        if not mat:
+            raise ValueError("cannot infer dimension of an empty row list")
+        dim = len(mat[0])
+    if any(len(row) != dim for row in mat):
+        raise ValueError("dimension mismatch")
+    rank, prev = 0, 1
+    for col in range(dim):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(top[col] * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank
+
+
 def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tuple[int, ...]) -> Facet:
     d = g.n_vertices
     on_facet = _on_facet_edges(g, normal)
@@ -188,13 +218,12 @@ def generators_on_facet(g: Graph, f: Facet) -> list[Edge]:
 
 
 def cone_dimension(g: Graph) -> int:
-    """Rank of the edge vectors: d when connected non-bipartite, d-1 when
-    connected bipartite."""
+    """Rank of the edge vectors of a connected graph: d - 1 when it is
+    bipartite, d otherwise.  It is the rank of the edge lattice, which
+    the lemma of ``semigroup.in_lattice`` gives as the hyperplane x(A) =
+    x(B) for sides A and B, else the index-2 sublattice sum(x) even."""
     if not g.is_contiguous:
         raise ValueError("cone dimension needs labels exactly 1..d")
     if not is_connected(g):
         raise UnsupportedGraphError("cone dimension needs a connected graph")
-    rows = [rho_vector(g.n_vertices, e) for e in g.edges]
-    if not rows:
-        return 0
-    return integer_rank(rows, g.n_vertices)
+    return g.n_vertices - (bipartition(g) is not None)

@@ -204,6 +204,14 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def rho_vector(d: int, e: Edge) -> tuple[int, ...]:
+    """0/1 exponent vector of an edge: ones at both endpoints."""
+    i, j = e
+    if not (1 <= i < j <= d):
+        raise ValueError(f"edge {e} outside 1..{d}")
+    return tuple(int(v in e) for v in range(1, d + 1))
+
+
 def mask_neighbors(g: Graph, mask: int) -> int:
     """Bitmask of the vertices adjacent to some vertex in ``mask``."""
     # the loop of ``bits`` inlined: an OR over bits(mask) measured 1.6x slower

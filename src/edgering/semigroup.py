@@ -3,7 +3,9 @@
 Everything here is integer arithmetic on exponent vectors indexed by the
 vertex labels 1..d.  The semigroup S is the set of nonnegative integer
 sums of edge vectors rho(e); its saturation Sbar is the intersection of
-the rational edge cone with the edge lattice.  Membership in S is decided
+the rational edge cone with the edge lattice.  Cone membership is one
+integer max-flow (``in_cone``) and lattice membership a closed form
+(``in_lattice``), for every connected graph.  Membership in S is decided
 by exhaustive backtracking, down to a complete table of edge sums where
 gap enumeration supplies one, so a negative answer is definitive.
 """
@@ -29,9 +31,9 @@ from .graph import (
     contains_odd_cycle,
     is_connected,
     mask_components,
+    rho_vector,
     to_mask,
 )
-from .linalg import in_rational_cone, rho_vector
 
 Vector = tuple[int, ...]
 
@@ -254,23 +256,68 @@ def in_lattice(g: Graph, x) -> bool:
     return sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
 
 
-def in_cone(g: Graph, x) -> bool:
-    """Membership of x in the rational cone spanned by the edge vectors.
+def _max_flow(arcs: list[tuple[int, int, int]], source: int, sink: int) -> int:
+    """Maximum flow value over integer-capacity arcs (tail, head, capacity)
+    by shortest augmenting paths (Edmonds and Karp, J. ACM 19, 1972): the
+    augmentations are bounded by the network size, not the capacities."""
+    residual: dict[int, dict[int, int]] = {}
+    for a, b, cap in arcs:
+        residual.setdefault(a, {})[b] = cap
+        residual.setdefault(b, {}).setdefault(a, 0)
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for a in queue:
+            for b, cap in residual[a].items():
+                if cap and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return flow
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        steps = list(zip(path[1:], path))
+        push = min(residual[a][b] for a, b in steps)
+        for a, b in steps:
+            residual[a][b] -= push
+            residual[b][a] += push
+        flow += push
 
-    Non-bipartite connected graphs use the validated facet inequalities;
-    bipartite ones fall back to exact rational feasibility.
+
+def in_cone(g: Graph, x) -> bool:
+    """Membership of x in the rational cone spanned by the edge vectors,
+    by one integer max-flow on the bipartite double cover of G.
+
+    Network: a source arc of capacity x_u into each vertex u, an arc of
+    capacity x_v from each copy v' into the sink, and the arcs u -> v'
+    and v -> u' for every edge uv, of capacity x_u and x_v, which no
+    flow out of their tails can exceed.
+
+    Lemma.  x is in the cone iff x >= 0 and the maximum flow is sum(x).
+    Proof.  (=>) Given x = sum lambda_uv rho(uv) with lambda >= 0, put
+    flow lambda_uv on both u -> v' and v -> u'.  Then u sends sum_v
+    lambda_uv = x_u and v' receives x_v: every source and sink arc is
+    full, a flow of value sum(x).  (<=) A flow f of value sum(x) fills
+    every source and sink arc.  Put lambda_uv = (f(u -> v') + f(v ->
+    u')) / 2 >= 0; at each u, sum_v lambda_uv is half of the flow out of
+    u plus the flow into u', (x_u + x_u) / 2, so x = sum lambda_uv
+    rho(uv).  The capacities are integers, so augmenting paths find the
+    maximum exactly, and max-flow equals min-cut (Gale, Pacific J. Math.
+    7, 1957, for this supply-demand form).
     """
     vec = _check_vector(g, x)
     if not is_connected(g):
         raise UnsupportedGraphError("cone membership implemented for connected graphs")
-    if contains_odd_cycle(g):
-        return all(
-            sum(n * v for n, v in zip(f.normal, vec)) >= 0
-            for f in facets(g)
-            if f.validated
-        )
-    d = g.n_vertices
-    return in_rational_cone([rho_vector(d, e) for e in g.edges], vec)
+    if any(v < 0 for v in vec):
+        return False
+    d = len(vec)
+    source, sink = 0, 2 * d + 1  # vertex u is node u, its copy u' is node d + u
+    arcs = [(source, u, vec[u - 1]) for u in g.vertices]
+    arcs += [(d + u, sink, vec[u - 1]) for u in g.vertices]
+    arcs += [(a, d + b, vec[a - 1]) for e in g.edges for a, b in (e, e[::-1])]
+    return _max_flow(arcs, source, sink) == sum(vec)
 
 
 def in_sbar(g: Graph, x) -> bool:

@@ -93,12 +93,12 @@ class ClassificationReport:
     verdict: str
     degree_bound: int
     search_bound: int
-    gap: tuple[Vector, ...]
-    certificates: tuple[ExclusionCertificate, ...]
-    hk_witness: HkWitness | None
-    exhaustive: bool
-    gap_computed: bool
-    s_prime_candidate: Vector | None
+    gap: tuple[Vector, ...] = ()
+    certificates: tuple[ExclusionCertificate, ...] = ()
+    hk_witness: HkWitness | None = None
+    exhaustive: bool = False
+    gap_computed: bool = True
+    s_prime_candidate: Vector | None = None
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -317,44 +317,20 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
     pairs = exceptional_pairs(g)
     timings["cycles"] = (time.perf_counter() - t0) * 1000.0
     if not pairs:
-        return _report(
-            verdict=VERDICT_NORMAL,
-            gap=(),
-            certificates=(),
-            hk_witness=None,
-            exhaustive=True,
-            gap_computed=True,
-            s_prime_candidate=None,
-        )
+        return _report(verdict=VERDICT_NORMAL, exhaustive=True)
 
     t0 = time.perf_counter()
     hk = hk_not_s2(g, pairs)
     timings["hk"] = (time.perf_counter() - t0) * 1000.0
     if hk is not None:
-        return _report(
-            verdict=VERDICT_NOT_S2,
-            gap=(),
-            certificates=(),
-            hk_witness=hk,
-            exhaustive=False,
-            gap_computed=False,
-            s_prime_candidate=None,
-        )
+        return _report(verdict=VERDICT_NOT_S2, hk_witness=hk, gap_computed=False)
 
     t0 = time.perf_counter()
     gap = tuple(gap_elements(g, degree_bound, method="formula", pairs=pairs))
     timings["gap"] = (time.perf_counter() - t0) * 1000.0
     if not gap:
         # non-normal for sure, but the degree bound shows no gap element
-        return _report(
-            verdict=VERDICT_UNKNOWN,
-            gap=(),
-            certificates=(),
-            hk_witness=None,
-            exhaustive=False,
-            gap_computed=True,
-            s_prime_candidate=None,
-        )
+        return _report(verdict=VERDICT_UNKNOWN)
 
     t0 = time.perf_counter()
     validated = [f for f in facets(g) if f.validated]
@@ -379,22 +355,10 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         if all(in_SF_bounded(g, f, alpha, search_bound, tables).status == YES for f in validated):
             timings["exclusion"] = (time.perf_counter() - t0) * 1000.0
             return _report(
-                verdict=VERDICT_NOT_S2,
-                gap=gap,
-                certificates=tuple(certificates),
-                hk_witness=None,
-                exhaustive=False,
-                gap_computed=True,
-                s_prime_candidate=alpha,
+                verdict=VERDICT_NOT_S2, gap=gap, certificates=tuple(certificates), s_prime_candidate=alpha
             )
         exhaustive = False
     timings["exclusion"] = (time.perf_counter() - t0) * 1000.0
     return _report(
-        verdict=VERDICT_S2_VERIFIED,
-        gap=gap,
-        certificates=tuple(certificates),
-        hk_witness=None,
-        exhaustive=exhaustive,
-        gap_computed=True,
-        s_prime_candidate=None,
+        verdict=VERDICT_S2_VERIFIED, gap=gap, certificates=tuple(certificates), exhaustive=exhaustive
     )

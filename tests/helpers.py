@@ -2,8 +2,9 @@
 test suite.  These deliberately avoid the library's own algorithms where
 they act as a second route: cycle enumeration here is plain DFS over all
 simple cycles, facet enumeration solves null spaces of generator subsets
-with Fraction arithmetic, and the edge lattice and integer rank come from
-a triangular lattice basis kept by extended-gcd row reduction.
+with Fraction arithmetic, the edge lattice and integer rank come from a
+triangular lattice basis kept by extended-gcd row reduction, and cone
+membership is a phase-1 simplex over Fractions.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
-from edgering.graph import Graph, contains_odd_cycle, is_connected
+from edgering.graph import Graph, contains_odd_cycle, is_connected, rho_vector
 
 GOLDEN_NORMALITY = Path(__file__).parent / "golden" / "normality.json"
 
@@ -74,6 +76,27 @@ def random_connected_nonbipartite(rng: random.Random, dmin: int = 4, dmax: int =
             continue
         if is_connected(g) and contains_odd_cycle(g):
             return g
+
+
+def random_connected_graph(rng: random.Random, d: int, bipartite: bool, p: float = 0.4) -> Graph:
+    """A random spanning tree on 1..d plus each other pair with probability
+    p.  Bipartite graphs keep only pairs across the tree's two colour
+    classes; otherwise one pair inside a class (d >= 3) closes an odd cycle."""
+    order = list(range(1, d + 1))
+    rng.shuffle(order)
+    side = {order[0]: 0}
+    pairs = set()
+    for i in range(1, d):
+        parent = order[rng.randrange(i)]
+        side[order[i]] = 1 - side[parent]
+        pairs.add(tuple(sorted((parent, order[i]))))
+    for u, v in itertools.combinations(range(1, d + 1), 2):
+        if rng.random() < p and not (bipartite and side[u] == side[v]):
+            pairs.add((u, v))
+    if not bipartite:
+        pairs.add(rng.choice([(u, v) for u, v in itertools.combinations(range(1, d + 1), 2)
+                              if side[u] == side[v]]))
+    return Graph.from_edge_list(d, pairs)
 
 
 # -- brute force odd cycle condition ----------------------------------
@@ -223,9 +246,76 @@ def lattice_of(dim: int, rows) -> IntegerLattice:
 
 def edge_lattice(g: Graph) -> IntegerLattice:
     """The lattice spanned by the edge vectors of a graph on labels 1..d."""
-    from edgering.linalg import rho_vector
-
     return lattice_of(g.n_vertices, [rho_vector(g.n_vertices, e) for e in g.edges])
+
+
+# -- rational cone membership by a phase-1 simplex --------------------
+
+
+def in_rational_cone(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Exact feasibility of target = sum lambda_g * g with rational
+    lambda >= 0, decided by a phase-1 simplex over Fractions.
+
+    Bland's rule on both the entering and leaving choice guarantees
+    termination.  Feasible iff the artificial objective reaches zero.
+    """
+    n = len(generators)
+    if n == 0:
+        return all(t == 0 for t in target)
+    m = len(target)
+    for gvec in generators:
+        if len(gvec) != m:
+            raise ValueError("generator dimension mismatch")
+
+    # rows: A lambda = b with b >= 0 after sign normalization
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        sign = -1 if target[i] < 0 else 1
+        row = [Fraction(sign * gvec[i]) for gvec in generators]
+        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        row.append(Fraction(sign * target[i]))
+        tab.append(row)
+    ncols = n + m
+    basis = [n + i for i in range(m)]
+
+    # minimize w = sum of artificials; reduced costs with artificial basis
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        cj = Fraction(1) if j >= n else Fraction(0)
+        obj[j] = cj - sum(tab[i][j] for i in range(m))
+    obj[ncols] = -sum(tab[i][ncols] for i in range(m))
+
+    while True:
+        enter = None
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][ncols] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # unbounded phase-1 objective cannot happen (w >= 0); defensive
+            raise ArithmeticError("phase-1 simplex detected unbounded direction")
+        piv = tab[leave][enter]
+        tab[leave] = [t / piv for t in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [t - f * s for t, s in zip(tab[i], tab[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [t - f * s for t, s in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    return obj[ncols] == 0
 
 
 # -- brute force facet enumeration ------------------------------------
@@ -280,8 +370,6 @@ def facet_normals_bruteforce(g: Graph) -> set[tuple[int, ...]]:
 
     Exponential in the edge count; meant for small graphs only.
     """
-    from edgering.linalg import rho_vector
-
     d = g.n_vertices
     gens = [rho_vector(d, e) for e in g.edges]
     out: set[tuple[int, ...]] = set()
@@ -342,7 +430,6 @@ def facet_semigroup_reference(g: Graph, f, bound: int) -> list[tuple[int, ...]]:
     """Sums of on-facet edge vectors with coordinate sum <= bound, level
     by level, each level sorted: ordered by (degree, lex)."""
     from edgering.facets import generators_on_facet
-    from edgering.linalg import rho_vector
 
     d = g.n_vertices
     rhos = [rho_vector(d, e) for e in generators_on_facet(g, f)]

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from operator import mul
 
 import helpers
 from conftest import family_intermediates
@@ -30,13 +31,15 @@ from edgering.families import (
     theorem_edge_range,
 )
 from edgering.graph import (
+    Graph,
     connected_components,
+    contains_odd_cycle,
     delete_vertex,
     induced_subgraph,
     is_connected,
     neighborhood,
+    rho_vector,
 )
-from edgering.linalg import in_rational_cone, rho_vector
 from edgering.semigroup import cycle_indicator, gap_elements, in_S, in_cone, in_sbar
 from edgering.serre import VERDICT_NOT_S2, VERDICT_S2_VERIFIED, classify, hk_not_s2
 
@@ -192,8 +195,10 @@ def test_criterion_4_cross_edge_additions(capsys):
 
 
 def test_criterion_5_cone_routes(capsys):
-    """Facet-normal membership matches exact rational feasibility, and
-    every validated facet has full contact rank."""
+    """Flow membership and the validated facet inequalities both match
+    exact rational feasibility, and every validated facet has full
+    contact rank.  Bipartite graphs have no facets here; they test the
+    flow alone."""
     failures = []
     corpus = {
         "g33": build_gab(3, 3).graph,
@@ -201,23 +206,31 @@ def test_criterion_5_cone_routes(capsys):
         "k5": helpers.complete_graph(5),
         "bowtie": helpers.bowtie_graph(),
         "c6_chords": helpers.c6_with_chords(),
+        "c6": helpers.cycle_graph(6),
+        "k33": Graph.from_edge_list(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]),
     }
     rng = random.Random(777)
     vectors = 0
     for name, g in corpus.items():
         d = g.n_vertices
         gens = [rho_vector(d, e) for e in g.edges]
-        for f in facets(g):
-            if not f.validated:
-                continue
-            rows = [rho_vector(d, e) for e in f.on_facet_edges]
-            if helpers.lattice_of(d, rows).rank != d - 1:
-                failures.append((name, f.kind, f.vertices, "contact rank"))
+        normals = []
+        if contains_odd_cycle(g):
+            for f in facets(g):
+                if not f.validated:
+                    continue
+                normals.append(f.normal)
+                rows = [rho_vector(d, e) for e in f.on_facet_edges]
+                if helpers.lattice_of(d, rows).rank != d - 1:
+                    failures.append((name, f.kind, f.vertices, "contact rank"))
         for _ in range(500):
             x = tuple(rng.randint(0, 6) for _ in range(d))
             vectors += 1
-            if in_cone(g, x) != in_rational_cone(gens, x):
-                failures.append((name, x))
+            oracle = helpers.in_rational_cone(gens, x)
+            if in_cone(g, x) != oracle:
+                failures.append((name, x, "flow"))
+            if normals and all(sum(map(mul, n, x)) >= 0 for n in normals) != oracle:
+                failures.append((name, x, "facet inequalities"))
     _finish(capsys, 5, f"{vectors} vectors across {len(corpus)} graphs", failures)
 
 

@@ -14,6 +14,8 @@ from edgering.graph import parse_graph, write_graph
 GOLDEN_D9_TSV = Path(__file__).parent / "golden" / "verify_theorem_d9.tsv"
 # analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
+# additions --a 3 --b 4 --max-extra 2 --format tsv
+ADDITIONS_34_TSV_SHA256 = "8493f5b6872415c41f95e182a9298289b8fb0f4a16795d24b0790a0db2e9dbbe"
 
 
 def run_cli(*args, cwd=None):
@@ -130,6 +132,14 @@ def test_verify_theorem_out_of_range():
     assert "[8, 12]" in proc.stderr
 
 
+def test_verify_theorem_rejects_n_with_a_range():
+    for extra in (["--n-min", "8"], ["--n-max", "9"], ["--n-min", "8", "--n-max", "9"]):
+        proc = run_cli("verify-theorem", "--d", "7", "--n", "9", *extra)
+        assert proc.returncode == 2, extra
+        assert "--n or --n-min/--n-max" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_verify_theorem_negative_search_bound():
     proc = run_cli("verify-theorem", "--d", "7", "--n", "8", "--search-bound", "-1")
     assert proc.returncode == 2
@@ -151,6 +161,14 @@ def test_verify_theorem_tsv():
     assert lines[0].split("\t") == ["d", "n", "edges", "verdict", "exhaustive", "certificate_count"]
     assert len(lines) == 2
     assert lines[1].split("\t")[:4] == ["7", "8", "8", "NonNormalS2Verified"]
+
+
+def test_additions_tsv_bytes():
+    proc = run_cli("additions", "--a", "3", "--b", "4", "--max-extra", "2", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[0] == "extra_edges\tedges\tverdict\texhaustive" and len(lines) == 2 + 12 + 66
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ADDITIONS_34_TSV_SHA256
 
 
 def test_additions_single_edges(tmp_path):

@@ -14,8 +14,7 @@ from edgering.facets import (
     is_regular_vertex,
     regular_vertex_components,
 )
-from edgering.graph import Graph, UnsupportedGraphError, delete_vertex
-from edgering.linalg import rho_vector
+from edgering.graph import Graph, UnsupportedGraphError, delete_vertex, rho_vector
 from edgering.serre import vertex_parity_certificate
 
 
@@ -159,6 +158,16 @@ def test_cone_dimension(g33):
     assert cone_dimension(helpers.complete_graph(3)) == 3
     with pytest.raises(UnsupportedGraphError):
         cone_dimension(Graph.from_edge_list(4, [(1, 2), (3, 4)]))
+
+
+def test_cone_dimension_matches_lattice_rank():
+    """The closed form against the rank of the extended-gcd lattice of
+    the edge vectors, on random connected graphs of both kinds."""
+    rng = random.Random(41)
+    for i in range(200):
+        bipartite = i % 2 == 0
+        g = helpers.random_connected_graph(rng, rng.randint(1 if bipartite else 3, 9), bipartite)
+        assert cone_dimension(g) == helpers.edge_lattice(g).rank, g.edges
 
 
 def test_normals_support_all_edges():

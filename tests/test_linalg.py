@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edgering.linalg import integer_rank
+from edgering.facets import integer_rank
 
 
 @st.composite

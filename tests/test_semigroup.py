@@ -8,8 +8,7 @@ import helpers
 from conftest import family_intermediates
 from edgering.cycles import exceptional_pairs
 from edgering.families import add_cross_edges, build_gab, cross_pairs, graph_for_theorem
-from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle, to_mask
-from edgering.linalg import in_rational_cone, rho_vector
+from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle, rho_vector, to_mask
 from edgering.semigroup import (
     _certifying_vertices,
     _EdgeSumSearch,
@@ -80,6 +79,8 @@ def test_in_cone_bipartite_fallback():
     c6 = helpers.cycle_graph(6)
     assert in_cone(c6, (1, 1, 0, 0, 0, 0))
     assert not in_cone(c6, (1, 0, 0, 0, 0, 0))
+    assert not in_cone(c6, (2, 0, 1, 1, 0, 0))  # x(A) = x(B), but N({1}) = {2, 6} is empty
+    assert in_cone(c6, (2, 1, 0, 0, 0, 1))
 
 
 def test_in_cone_matches_rational_oracle(g33):
@@ -88,7 +89,58 @@ def test_in_cone_matches_rational_oracle(g33):
     gens = [rho_vector(7, e) for e in g.edges]
     for _ in range(120):
         x = tuple(rng.randint(0, 6) for _ in range(7))
-        assert in_cone(g, x) == in_rational_cone(gens, x)
+        assert in_cone(g, x) == helpers.in_rational_cone(gens, x)
+
+
+def _colour_classes(g: Graph) -> tuple[list[int], list[int]]:
+    """The parity classes of breadth-first depth from vertex 1: the two
+    sides of a bipartite graph."""
+    depth, queue = {1: 0}, [1]
+    for u in queue:
+        for w in sorted(g.adjacency[u] - depth.keys()):
+            depth[w] = depth[u] + 1
+            queue.append(w)
+    return ([v for v in g.vertices if depth[v] % 2 == 0], [v for v in g.vertices if depth[v] % 2])
+
+
+@st.composite
+def cone_queries(draw):
+    """(graph, vector): a random connected graph, bipartite or not, and a
+    vector that is signed, nonnegative and balanced (x(A) = x(B) for the
+    colour classes A, B), or nonnegative and unbalanced."""
+    bipartite = draw(st.booleans())
+    d = draw(st.integers(2 if bipartite else 3, 8))
+    g = helpers.random_connected_graph(random.Random(draw(st.integers(0, 2**32))), d, bipartite)
+    kind = draw(st.sampled_from(["signed", "balanced", "unbalanced"]))
+    x = draw(st.lists(st.integers(-3 if kind == "signed" else 0, 6), min_size=d, max_size=d))
+    if kind == "balanced":
+        first, second = _colour_classes(g)
+        diff = sum(x[v - 1] for v in first) - sum(x[v - 1] for v in second)
+        x[draw(st.sampled_from(second if diff > 0 else first)) - 1] += abs(diff)
+    return g, tuple(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_queries())
+def test_in_cone_matches_simplex_oracle(query):
+    g, x = query
+    gens = [rho_vector(g.n_vertices, e) for e in g.edges]
+    assert in_cone(g, x) == helpers.in_rational_cone(gens, x)
+
+
+def test_in_cone_past_the_facet_vertex_cap():
+    """d = 17 is past the 16-vertex cap of fundamental set enumeration,
+    which the flow does not need."""
+    g = graph_for_theorem(17, 18).graph
+    gens = [rho_vector(17, e) for e in g.edges]
+    rng = random.Random(29)
+    for _ in range(30):
+        x = [rng.randint(0, 2) for _ in range(17)]
+        for e in rng.sample(g.edges, 4):
+            x = [a + b for a, b in zip(x, rho_vector(17, e))]
+        assert in_cone(g, x) == helpers.in_rational_cone(gens, x), x
+    assert in_cone(g, tuple(map(sum, zip(*gens))))
+    assert not in_cone(g, (2,) + (0,) * 16)
 
 
 def test_in_sbar(g33):
