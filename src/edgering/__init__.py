@@ -66,8 +66,10 @@ from .serre import (
     ClassificationReport,
     ExclusionCertificate,
     HkWitness,
+    LocalizationMembership,
     classify,
     hk_not_s2,
+    in_localization,
     in_SF_bounded,
     in_S_cap_F,
     vertex_parity_certificate,

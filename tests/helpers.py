@@ -447,6 +447,26 @@ def facet_semigroup_reference(g: Graph, f, bound: int) -> list[tuple[int, ...]]:
     return [y for y in out if sum(y) <= bound]
 
 
+def localization_reference(g: Graph, f, alpha) -> bool:
+    """The condition of ``serre.in_localization``'s lemma by brute force:
+    some sum v of off-facet edge vectors with normal . v = normal . alpha
+    has alpha - v in the lattice of the on-facet edges, decided by the
+    extended-gcd lattice.  Every such v is listed, level by level."""
+    from edgering.facets import generators_on_facet
+
+    d = g.n_vertices
+    on = generators_on_facet(g, f)
+    lattice = lattice_of(d, [rho_vector(d, e) for e in on])
+    off = [(f.normal[e[0] - 1] + f.normal[e[1] - 1], rho_vector(d, e)) for e in g.edges if e not in on]
+    target = sum(a * b for a, b in zip(f.normal, alpha))
+    if target < 0:
+        return False
+    sums: list[set[tuple[int, ...]]] = [{tuple([0] * d)}]
+    for k in range(1, target + 1):
+        sums.append({tuple(x + y for x, y in zip(v, r)) for c, r in off if c <= k for v in sums[k - c]})
+    return any(lattice.contains([a - b for a, b in zip(alpha, v)]) for v in sums[target])
+
+
 def edge_sum_levels_reference(d: int, edges, max_degree: int) -> list[set[tuple[int, ...]]]:
     """levels[k] = distinct sums of exactly k edge vectors, k <= max_degree // 2,
     formed as every level k-1 sum plus every edge vector."""

@@ -1,11 +1,24 @@
+import hashlib
+import json
 import random
+from collections import defaultdict
+from operator import add, mul
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from edgering import serre
-from edgering.facets import FUNDAMENTAL_KIND, VERTEX_KIND, facets
+from edgering.facets import (
+    FUNDAMENTAL_KIND,
+    VERTEX_KIND,
+    _facet_from_normal,
+    facets,
+    generators_on_facet,
+    is_regular_vertex,
+    regular_vertex_components,
+)
 from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
 from edgering.graph import Graph, UnsupportedGraphError, connected_components, delete_vertex
 from edgering.semigroup import gap_elements, in_lattice, in_S
@@ -21,13 +34,18 @@ from edgering.serre import (
     _facet_semigroup_bounded,
     classify,
     hk_not_s2,
+    in_localization,
     in_S_cap_F,
     in_SF_bounded,
     vertex_parity_certificate,
 )
-from test_semigroup import with_exceptional_pair
+from test_semigroup import connected_nonbipartite, with_exceptional_pair
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
+# SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
+# pool graph 0 (``localization_graph``), recorded before the exact
+# localization test was added
+POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b4816989d9d623"
 
 
 def vertex_facet(g, v):
@@ -354,3 +372,134 @@ def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
     assert rep.verdict == VERDICT_NOT_S2 and rep.s_prime_candidate == rep.gap[0]
     assert [f for f, _ in seen] == validated
     assert all(tables is seen[0][1] for _, tables in seen) and seen[0][1] is not None
+
+
+def test_pool_graph_0_report_at_default_bounds():
+    """Pool graph 0 at the default bounds: no vertex facet certifies any
+    of its 792 gap elements, so every one is excluded at some facet by the
+    exact localization test; the bytes `analyze` writes, pinned."""
+    rep = classify(localization_graph(), degree_bound=16, search_bound=12)
+    assert rep.gap_count == 792 and not rep.certificates
+    data = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(data.encode()).hexdigest() == POOL_0_REPORT_SHA256
+
+
+@st.composite
+def localization_queries(draw, dmax=8):
+    """(graph, alpha): a connected graph with an odd cycle, random or two
+    triangles joined through hubs (whose cut vertices certify), and a
+    vector of its edge lattice (even sum), nonnegative or signed."""
+    g = draw(st.one_of(connected_nonbipartite(dmax), with_exceptional_pair(dmax)))
+    low = draw(st.sampled_from([0, -2]))
+    alpha = draw(st.lists(st.integers(low, 2), min_size=g.n_vertices, max_size=g.n_vertices))
+    alpha[draw(st.integers(0, g.n_vertices - 1))] += sum(alpha) % 2
+    return g, tuple(alpha)
+
+
+def _bounded_y(g, f, alpha, bound):
+    """The first y of the reference facet table with alpha + y in S."""
+    for y in helpers.facet_semigroup_reference(g, f, bound):
+        shifted = tuple(map(add, alpha, y))
+        if min(shifted) >= 0 and in_S(g, shifted) is not None:
+            return y
+    return None
+
+
+def _faces(g):
+    """Every facet candidate, then the face x_v = 0 of each vertex that is
+    not regular, where G minus v has a bipartite component."""
+    return list(facets(g)) + [
+        _facet_from_normal(g, VERTEX_KIND, (v,), tuple(int(u == v) for u in g.vertices))
+        for v in g.vertices if not is_regular_vertex(g, v)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(localization_queries())
+def test_in_localization_matches_bounded_search(query):
+    """At every face of ``_faces``: a y found by the bounded reference
+    search means an exact yes, a parity certificate an exact no; an exact
+    yes carries a y in S cap F with alpha + y in S and an off-facet
+    multiset of weight ell(alpha); an exact no is unreached by the
+    brute-force lemma condition.  At each facet candidate,
+    ``in_SF_bounded`` keeps the reference search's status."""
+    g, alpha = query
+    candidates = facets(g)
+    for f in _faces(g):
+        exact = in_localization(g, f, alpha)
+        assert exact.weight == sum(map(mul, f.normal, alpha))
+        y = _bounded_y(g, f, alpha, 6)
+        if y is not None:
+            assert exact.member
+        if f in candidates:
+            bounded = in_SF_bounded(g, f, alpha, search_bound=6)
+            assert (bounded.status == YES) == (y is not None)
+            if bounded.status == NO_CERTIFIED:
+                assert not exact.member
+        if exact.member:
+            assert in_S_cap_F(g, f, exact.y) is not None
+            assert in_S(g, tuple(map(add, alpha, exact.y))) is not None
+            on = set(generators_on_facet(g, f))
+            assert not on & {e for e, _ in exact.off_facet}
+            assert sum(k * (f.normal[i - 1] + f.normal[j - 1]) for (i, j), k in exact.off_facet) == exact.weight
+        else:
+            assert exact.y is None and not helpers.localization_reference(g, f, alpha)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(localization_queries())
+def test_in_localization_vertex_facet_closed_form(query):
+    """At a regular vertex v, a lattice vector alpha is excluded iff more
+    components of G minus v have odd alpha-weight than alpha_v; at alpha_v
+    = 0 that is the parity certificate."""
+    g, alpha = query
+    for f in facets(g):
+        if f.kind != VERTEX_KIND:
+            continue
+        (v,) = f.vertices
+        odd = sum(sum(alpha[u - 1] for u in comp) % 2 for comp in regular_vertex_components(g, v))
+        excluded = not in_localization(g, f, alpha).member
+        assert excluded == (odd > alpha[v - 1])
+        if alpha[v - 1] == 0:
+            assert excluded == (vertex_parity_certificate(g, v, alpha) is not None)
+
+
+def test_in_localization_signed_candidates(g33):
+    """The G(3,3) cases of ``test_in_SF_bounded_signed_candidates``: a
+    negative hub coordinate is an exact no (ell(alpha) < 0), and
+    (-2, -2, 0, ...) is a yes with y = 2 rho(1, 2) and no off-facet edge."""
+    g = g33.graph
+    fw = vertex_facet(g, 4)
+    hub = in_localization(g, fw, (0, 0, 0, -4, 0, 0, 0))
+    assert not hub.member and hub.weight == -4 and hub.y is None
+    pair = in_localization(g, fw, (-2, -2, 0, 0, 0, 0, 0))
+    assert pair.member and pair.weight == 0 and pair.off_facet == ()
+    assert pair.y == (2, 2, 0, 0, 0, 0, 0)
+
+
+def test_exact_no_facets_build_no_table(monkeypatch):
+    """On pool graph 0 at bounds 8/8, a facet where every call is an exact
+    no never has its bounded table built; every facet whose table is built
+    had an exact yes."""
+    g = localization_graph()
+    calls, built = defaultdict(list), []
+    real_search, real_table = serre.in_SF_bounded, serre._facet_semigroup_bounded
+
+    def recording(g, f, alpha, search_bound=12, tables=None):
+        calls[f].append(alpha)
+        return real_search(g, f, alpha, search_bound, tables)
+
+    def counting(g, f, bound):
+        built.append(f)
+        return real_table(g, f, bound)
+
+    monkeypatch.setattr(serre, "in_SF_bounded", recording)
+    monkeypatch.setattr(serre, "_facet_semigroup_bounded", counting)
+    rep = classify(g, degree_bound=8, search_bound=8)
+    assert rep.verdict == VERDICT_S2_VERIFIED and not rep.certificates
+    exact_no = {f for f, alphas in calls.items()
+                if not any(in_localization(g, f, alpha).member for alpha in alphas)}
+    assert exact_no and not exact_no & set(built)
+    assert set(built) == set(calls) - exact_no
