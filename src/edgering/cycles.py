@@ -63,7 +63,6 @@ def _extend(masks, s, path, path_mask, chords, out) -> None:
         path.pop()
 
 
-@lru_cache(maxsize=256)
 def minimal_odd_cycles(g: Graph) -> tuple[OddCycle, ...]:
     """All chordless odd cycles, canonical tuples sorted by (length, tuple).
 
@@ -90,22 +89,24 @@ def has_bridge(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     return any(v in adj[u] for u in s1 for v in s2)
 
 
-def exceptional_pairs(g: Graph) -> list[ExceptionalPair]:
+@lru_cache(maxsize=256)
+def exceptional_pairs(g: Graph) -> tuple[ExceptionalPair, ...]:
     """All unordered pairs of vertex-disjoint minimal odd cycles with no
-    bridge, each pair ordered (smaller cycle first), list sorted.
+    bridge, each pair ordered (smaller cycle first), sorted.
 
     Cycle j misses cycle i and every edge out of it exactly when no
-    vertex of j lies in the closed neighbourhood of i.
+    vertex of j lies in the closed neighbourhood of i.  Cached, and a
+    tuple, so every stage of ``classify`` shares one scan it cannot change.
     """
     cycles = minimal_odd_cycles(g)
     own = [to_mask(c) for c in cycles]
     closed = [mask | mask_neighbors(g, mask) for mask in own]
-    return [
+    return tuple(
         ExceptionalPair(cycles[i], cycles[j])
         for i in range(len(cycles))
         for j in range(i + 1, len(cycles))
         if not own[j] & closed[i]
-    ]
+    )
 
 
 def satisfies_odd_cycle_condition(g: Graph) -> bool:

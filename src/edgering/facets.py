@@ -34,6 +34,7 @@ from .graph import (
 
 VERTEX_KIND = "vertex"
 FUNDAMENTAL_KIND = "fundamental"
+MAX_VERTICES = 16  # cap of the exhaustive fundamental set enumeration
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,18 @@ def _independent_sets(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def fundamental_sets(g: Graph, limit: int = 16) -> list[VertexSet]:
+def fundamental_sets(g: Graph) -> list[VertexSet]:
     """All fundamental independent sets T, sorted by (size, sorted tuple).
 
     T qualifies when (a) T is independent, (b) the bipartite graph
     induced by T is connected, and (c) T together with N(G; T) covers V,
     or every component left over contains an odd cycle.  Exhaustive over
-    independent sets, so guarded by a vertex-count limit: a larger graph
+    independent sets, so guarded by ``MAX_VERTICES``: a larger graph
     raises UnsupportedGraphError (CLI exit code 3).
     """
-    if g.n_vertices > limit:
+    if g.n_vertices > MAX_VERTICES:
         raise UnsupportedGraphError(
-            f"fundamental set enumeration limited to {limit} vertices, graph has {g.n_vertices}"
+            f"fundamental set enumeration limited to {MAX_VERTICES} vertices, graph has {g.n_vertices}"
         )
     out: list[VertexSet] = []
     for tmask, nmask in _independent_sets(g):

@@ -13,14 +13,13 @@ gap enumeration supplies one, so a negative answer is definitive.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, ge, sub
 
 import numpy as np
 
-from .cycles import ExceptionalPair, exceptional_pairs, is_cycle_of
+from .cycles import exceptional_pairs, is_cycle_of
 from .facets import facets, regular_vertex_components
 from .graph import (
     Edge,
@@ -91,22 +90,21 @@ class _EdgeSumSearch:
     """Exact decision procedure for membership in the monoid generated by
     the edge vectors of a ``Graph`` on labels 1..d (for a facet, the graph
     of its on-facet edges on all d vertices), with a failure memo and an
-    optional lookup table.
+    optional table of edge sums.
 
     Search: a nonzero vector x is a sum of edge vectors only if some edge
     covers the lowest-labeled vertex v with x_v > 0, and that edge's
     other endpoint w has x_w > 0 too.  So x is a member iff x - rho(v, w)
     is one for some such edge; branching over those edges is complete.
 
-    Table: inside ``lookup(levels)``, where ``levels[k]`` is the dict of
+    Table: given ``levels``, where ``levels[k]`` is the dict of
     ``_edge_sum_levels``, keyed by every sum of exactly k edge vectors, a
     vector of degree 2k with k < len(levels) is a member iff it is a key
     of ``levels[k]``: the table is the whole monoid in those degrees, by
     construction.  The branching above runs only until the degree falls
-    into the table.  Outside ``lookup`` the table is just the zero vector.
-    The table never outlives the call that supplies it, because engines
-    are shared through an LRU cache; ``_gap_formula`` holds one table for
-    its closure, covers and fallback.
+    into the table.  Without ``levels`` the table is just the zero vector,
+    as in the engines ``_search_engine`` shares; ``_gap_formula`` builds
+    its own engine over its table, which goes when the call ends.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -118,14 +116,14 @@ class _EdgeSumSearch:
     else the 0-based index groups whose sums must be even.  There are
     few patterns (84 among 245k candidates of the largest d=10 theorem
     graph), and the engine's edges never change, so an entry is valid
-    across calls and tables.  Root rejections are not memoized.  Inner
-    nodes that fail go into ``failed``; a failed vector is a non-member
-    whatever the table, so the memo stays valid across calls.
+    across calls.  Root rejections are not memoized.  Inner nodes that
+    fail go into ``failed``; a failed vector is a non-member whatever
+    the table, so the memo stays valid across calls.
     """
 
     __slots__ = ("graph", "d", "incident", "failed", "levels", "support")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, levels: list[dict[Vector, int]] | None = None):
         self.graph = g
         self.d = d = _require_full(g)
         incident: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(1, d + 1)}
@@ -135,19 +133,8 @@ class _EdgeSumSearch:
             incident[j].append((i, e))
         self.incident = {v: tuple(sorted(lst)) for v, lst in incident.items()}
         self.failed: set[Vector] = set()
-        self.levels: list[dict[Vector, int]] = [{tuple([0] * d): 0}]
+        self.levels = levels or [{tuple([0] * d): 0}]
         self.support: dict[tuple[bool, ...], tuple[tuple[int, ...], ...] | None] = {}
-
-    @contextmanager
-    def lookup(self, levels: list[dict[Vector, int]]):
-        """Answer degree 2k, for k < len(levels), from the keys of
-        ``levels[k]``, which must be all sums of exactly k edge vectors."""
-        saved = self.levels
-        self.levels = levels
-        try:
-            yield self
-        finally:
-            self.levels = saved
 
     def _prune(self, x: Vector) -> bool:
         """False when a parity or isolation obstruction rules x out."""
@@ -247,12 +234,12 @@ def in_lattice(g: Graph, x) -> bool:
     (Grossman, Kulkarni and Schochetman, Linear Algebra Appl. 218, 1995.)
     """
     vec = _check_vector(g, x)
-    if not is_connected(g):
+    comps = mask_components(g, g.vertex_mask)
+    if len(comps) != 1:
         raise UnsupportedGraphError("lattice membership implemented for connected graphs")
-    parts = bipartition(g)
-    if parts is None:
+    if comps[0][1]:
         return sum(vec) % 2 == 0
-    first, second = parts
+    first, second = bipartition(g)
     return sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
 
 
@@ -339,16 +326,13 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
     return _search_engine(g).witness(vec)
 
 
-def normalization_generators(g: Graph, pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
+def normalization_generators(g: Graph) -> list[Vector]:
     """The vectors E_C + E_C' over exceptional pairs (C, C'), deduplicated
-    and sorted; empty iff the odd cycle condition holds.
-
-    ``pairs``, when given, must be ``exceptional_pairs(g)``; ``classify``
-    passes the list it already has, so the pair scan runs once.
-    """
+    and sorted; empty iff the odd cycle condition holds.  The pairs come
+    from the cached ``exceptional_pairs(g)``."""
     d = _require_full(g)
     out: set[Vector] = set()
-    for c1, c2 in exceptional_pairs(g) if pairs is None else pairs:
+    for c1, c2 in exceptional_pairs(g):
         mem = set(c1) | set(c2)
         out.add(tuple(1 if v in mem else 0 for v in range(1, d + 1)))
     return sorted(out)
@@ -391,7 +375,7 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[d
 def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound: int) -> list[Vector]:
     """Step A of ``_gap_formula``: close ``gens`` under adding a generator,
     to degree <= degree_bound, keeping y only when it is neither in S nor
-    in m + S for an m kept before.  ``engine`` must be inside ``lookup``."""
+    in m + S for an m kept before.  ``engine`` holds the edge-sum table."""
     module: list[Vector] = []
     seen, frontier = set(gens), sorted(gens, key=sum)
     while frontier:
@@ -472,7 +456,7 @@ def _gap_candidates(module: list[Vector], levels: list[dict[Vector, int]], degre
     }
 
 
-def _gap_formula(g: Graph, degree_bound: int, pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
+def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     """Formula route: the gap of degree <= b = degree_bound, read off a
     proof where one holds, else decided candidate by candidate.
 
@@ -499,21 +483,20 @@ def _gap_formula(g: Graph, degree_bound: int, pairs: list[ExceptionalPair] | Non
 
     A proven graph thus needs no ``decide`` per candidate; otherwise each
     candidate is decided against the same table.  S' = S is the (S2)
-    criterion (Trung and Hoa, Trans. AMS 298, 1986).  The table is
-    dropped when the call ends.  ``pairs`` is passed on to
-    ``normalization_generators``.
+    criterion (Trung and Hoa, Trans. AMS 298, 1986).  The engine over the
+    table is this call's own, so the table goes when the call ends.
     """
-    gens = [x for x in normalization_generators(g, pairs) if sum(x) <= degree_bound]
+    gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
         return []
     provable = all(_certifying_vertices(g, x) for x in gens)
     levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
-    with _search_engine(g).lookup(levels) as engine:
-        module = _module_generators(engine, gens, degree_bound)
-        covers = _gap_proof(g, engine, module, degree_bound) if provable else None
-        candidates = _gap_candidates(module, levels, degree_bound, covers)
-        if covers is None:
-            candidates = [alpha for alpha in candidates if not engine.decide(alpha)]
+    engine = _EdgeSumSearch(g, levels)
+    module = _module_generators(engine, gens, degree_bound)
+    covers = _gap_proof(g, engine, module, degree_bound) if provable else None
+    candidates = _gap_candidates(module, levels, degree_bound, covers)
+    if covers is None:
+        candidates = [alpha for alpha in candidates if not engine.decide(alpha)]
     return sorted(candidates, key=lambda v: (sum(v), v))
 
 
@@ -535,39 +518,26 @@ def _nonnegative_vectors(d: int, bound: int) -> list[Vector]:
 
 
 def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
-    d = g.n_vertices
+    """Bulk filter, the oracle of acceptance criterion 3 and the tests for
+    ``gap_elements``: each nonnegative vector of degree <= degree_bound
+    through the validated facet inequalities, the sum parity and ``decide``.
+    Kept in src as the only numpy user: the benchmark reads ``import.numpy.
+    ms``, and ``perfbench/tests/test_smoke.py`` fails if edgering loads no numpy."""
+    vecs = np.array(_nonnegative_vectors(g.n_vertices, degree_bound), dtype=np.int64)
+    normals = np.array([f.normal for f in facets(g) if f.validated], dtype=np.int64)
+    sbar = vecs[(vecs @ normals.T >= 0).all(axis=1) & (vecs.sum(axis=1) % 2 == 0)]
     engine = _search_engine(g)
-    vecs = np.array(_nonnegative_vectors(d, degree_bound), dtype=np.int64)
-    normals = np.array(
-        [f.normal for f in facets(g) if f.validated], dtype=np.int64
-    )
-    in_cone_mask = (vecs @ normals.T >= 0).all(axis=1)
-    in_lattice_mask = vecs.sum(axis=1) % 2 == 0
-    sbar = vecs[in_cone_mask & in_lattice_mask]
-    gap = []
-    for row in sbar:
-        alpha = tuple(int(v) for v in row)
-        if not engine.decide(alpha):
-            gap.append(alpha)
+    gap = [alpha for alpha in map(tuple, sbar.tolist()) if not engine.decide(alpha)]
     return sorted(gap, key=lambda v: (sum(v), v))
 
 
-def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula",
-                 pairs: list[ExceptionalPair] | None = None) -> list[Vector]:
-    """All members of Sbar minus S with coordinate sum <= degree_bound.
-
-    Two independent routes are available: "formula" lists module
-    generators plus edge sums and reads the gap off parity certificates
-    where a cover check proves that exact (``_gap_formula``), else decides
-    each; "direct" filters every bounded nonnegative vector through in_sbar
-    and in_S.  "both" runs the two and insists they agree.
+def gap_elements(g: Graph, degree_bound: int = 16) -> list[Vector]:
+    """All members of Sbar minus S with coordinate sum <= degree_bound,
+    by the one route, ``_gap_formula``.
 
     Args:
         g: connected graph with an odd cycle, labels 1..d.
         degree_bound: positive even bound on the coordinate sum.
-        method: "formula" (default), "direct", or "both".
-        pairs: ``exceptional_pairs(g)`` when the caller already has them;
-            the formula route then skips its own pair scan.
 
     Returns:
         Sorted list of gap vectors (by coordinate sum, then lex).
@@ -579,16 +549,4 @@ def gap_elements(g: Graph, degree_bound: int = 16, method: str = "formula",
         raise UnsupportedGraphError("gap enumeration needs at least one odd cycle")
     if degree_bound <= 0 or degree_bound % 2 == 1:
         raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
-    if method == "formula":
-        return _gap_formula(g, degree_bound, pairs)
-    if method == "direct":
-        return _gap_direct(g, degree_bound)
-    if method == "both":
-        formula = _gap_formula(g, degree_bound, pairs)
-        direct = _gap_direct(g, degree_bound)
-        if formula != direct:
-            raise AssertionError(
-                f"gap routes disagree: formula found {len(formula)} vectors, direct {len(direct)}"
-            )
-        return formula
-    raise ValueError(f"unknown method {method!r}")
+    return _gap_formula(g, degree_bound)

@@ -421,7 +421,7 @@ def in_SF_bounded(
     return BoundedMembership(NO_UP_TO_BOUND)
 
 
-def hk_not_s2(g: Graph, pairs: list[ExceptionalPair] | None = None) -> HkWitness | None:
+def hk_not_s2(g: Graph) -> HkWitness | None:
     """Search for an exceptional pair satisfying the sufficient criterion
     for refuting the depth condition:
 
@@ -430,11 +430,10 @@ def hk_not_s2(g: Graph, pairs: list[ExceptionalPair] | None = None) -> HkWitness
     (2) for every fundamental set T whose closed neighborhood misses the
         pair, both cycles stay in one component after removing it.
 
-    Returns the first passing pair in canonical order, or None.
-    ``pairs``, when given, must be ``exceptional_pairs(g)``; ``classify``
-    passes the list it already has, so the pair scan runs once.
+    Returns the first passing pair in canonical order, or None.  The
+    pairs come from the cached ``exceptional_pairs(g)``.
     """
-    pairs = exceptional_pairs(g) if pairs is None else pairs
+    pairs = exceptional_pairs(g)
     if not pairs:
         return None
     closed_sets = []
@@ -522,13 +521,13 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         return _report(verdict=VERDICT_NORMAL, exhaustive=True)
 
     t0 = time.perf_counter()
-    hk = hk_not_s2(g, pairs)
+    hk = hk_not_s2(g)
     timings["hk"] = (time.perf_counter() - t0) * 1000.0
     if hk is not None:
         return _report(verdict=VERDICT_NOT_S2, hk_witness=hk, gap_computed=False)
 
     t0 = time.perf_counter()
-    gap = tuple(gap_elements(g, degree_bound, method="formula", pairs=pairs))
+    gap = tuple(gap_elements(g, degree_bound))
     timings["gap"] = (time.perf_counter() - t0) * 1000.0
     if not gap:
         # non-normal for sure, but the degree bound shows no gap element

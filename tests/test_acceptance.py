@@ -40,7 +40,7 @@ from edgering.graph import (
     neighborhood,
     rho_vector,
 )
-from edgering.semigroup import cycle_indicator, gap_elements, in_S, in_cone, in_sbar
+from edgering.semigroup import _gap_direct, cycle_indicator, gap_elements, in_S, in_cone, in_sbar
 from edgering.serre import VERDICT_NOT_S2, VERDICT_S2_VERIFIED, classify, hk_not_s2
 
 
@@ -124,8 +124,8 @@ def test_criterion_3_gap_route_equivalence(capsys):
         graphs.append(helpers.random_connected_nonbipartite(rng, dmin=5, dmax=8))
     checked = 0
     for g in graphs:
-        lhs = gap_elements(g, 12, method="formula")
-        rhs = gap_elements(g, 12, method="direct")
+        lhs = gap_elements(g, 12)
+        rhs = _gap_direct(g, 12)
         checked += 1
         if lhs != rhs:
             failures.append((g.edges, len(lhs), len(rhs)))

@@ -134,8 +134,6 @@ def test_exceptional_pairs_match_reference(g):
 @given(any_graph)
 def test_hk_not_s2_matches_reference(g):
     got = hk_not_s2(g)
-    # the pairs classify passes in give the same witness
-    assert hk_not_s2(g, exceptional_pairs(g)) == got
     want = helpers.hk_not_s2_reference(g)
     if want is None:
         assert got is None

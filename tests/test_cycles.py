@@ -70,8 +70,8 @@ def test_has_bridge(g33):
 
 
 def test_exceptional_pairs(g33, g34):
-    assert exceptional_pairs(g33.graph) == [((1, 2, 3), (5, 6, 7))]
-    assert exceptional_pairs(helpers.complete_graph(4)) == []
+    assert exceptional_pairs(g33.graph) == (((1, 2, 3), (5, 6, 7)),)
+    assert exceptional_pairs(helpers.complete_graph(4)) == ()
     # u-side triangle against each v-side triangle missing the hub
     pairs = exceptional_pairs(g34.graph)
     assert len(pairs) == 4

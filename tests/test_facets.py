@@ -59,8 +59,9 @@ def test_fundamental_sets_pentagon():
 
 
 def test_fundamental_sets_limit():
-    with pytest.raises(ValueError):
-        fundamental_sets(helpers.complete_graph(5), limit=4)
+    # the cap is checked before any enumeration, so 17 vertices stay cheap
+    with pytest.raises(UnsupportedGraphError, match="16 vertices"):
+        fundamental_sets(helpers.cycle_graph(17))
 
 
 def test_facets_glued_cliques(g33):

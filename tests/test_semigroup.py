@@ -14,6 +14,7 @@ from edgering.semigroup import (
     _EdgeSumSearch,
     _edge_sum_levels,
     _gap_candidates,
+    _gap_direct,
     _gap_proof,
     _module_generators,
     _nonnegative_vectors,
@@ -212,8 +213,8 @@ def test_normalization_generators(g33, g34):
 
 
 def test_gap_elements_small_bound(g33):
-    assert gap_elements(g33.graph, 6, method="both") == [ALPHA]
-    assert gap_elements(helpers.complete_graph(5), 10, method="both") == []
+    assert gap_elements(g33.graph, 6) == _gap_direct(g33.graph, 6) == [ALPHA]
+    assert gap_elements(helpers.complete_graph(5), 10) == _gap_direct(helpers.complete_graph(5), 10) == []
 
 
 def test_gap_routes_agree(g33):
@@ -221,7 +222,7 @@ def test_gap_routes_agree(g33):
 
     gt = edgering.graph_for_theorem(7, 8).graph
     for g in [g33.graph, gt]:
-        assert gap_elements(g, 12, method="formula") == gap_elements(g, 12, method="direct")
+        assert gap_elements(g, 12) == _gap_direct(g, 12)
 
 
 def test_gap_validation(g33):
@@ -229,8 +230,6 @@ def test_gap_validation(g33):
         gap_elements(g33.graph, 7)
     with pytest.raises(ValueError):
         gap_elements(g33.graph, 0)
-    with pytest.raises(ValueError):
-        gap_elements(g33.graph, 12, method="sideways")
     with pytest.raises(UnsupportedGraphError):
         gap_elements(helpers.cycle_graph(6), 12)
     with pytest.raises(UnsupportedGraphError):
@@ -335,9 +334,9 @@ def _formula_route(g, bound):
     builds them."""
     gens = [x for x in normalization_generators(g) if sum(x) <= bound]
     levels = _edge_sum_levels(g.n_vertices, g.edges, bound - min(map(sum, gens)))
-    with _EdgeSumSearch(g).lookup(levels) as engine:
-        module = _module_generators(engine, gens, bound)
-        covers = _gap_proof(g, engine, module, bound)
+    engine = _EdgeSumSearch(g, levels)
+    module = _module_generators(engine, gens, bound)
+    covers = _gap_proof(g, engine, module, bound)
     return module, levels, covers
 
 
@@ -386,7 +385,7 @@ def test_pool_graph_0_is_not_proven():
                                  (4, 6), (5, 6), (5, 8)])
     assert not all(_certifying_vertices(g, x) for x in normalization_generators(g))
     assert _formula_route(g, 8)[2] is None
-    assert len(gap_elements(g, 8, method="both")) > 0
+    assert gap_elements(g, 8) == _gap_direct(g, 8) != []
 
 
 def test_cover_check_decides_the_route():
@@ -398,7 +397,7 @@ def test_cover_check_decides_the_route():
     module, _, covers = _formula_route(g, 10)
     assert all(_certifying_vertices(g, x) for x in module)
     assert covers is None
-    assert len(gap_elements(g, 10, method="both")) > 0
+    assert gap_elements(g, 10) == _gap_direct(g, 10) != []
 
 
 def test_module_generators_beyond_the_pairs():
@@ -438,16 +437,6 @@ def test_edge_sum_levels_match_reference(g, max_degree):
     for level in levels:
         for beta, supp in level.items():
             assert supp == to_mask(v for v, c in enumerate(beta, 1) if c), beta
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(with_exceptional_pair(dmax=9), gab_with_cross_edges()), st.sampled_from([6, 8, 10, 12]))
-def test_gap_same_with_pairs_passed_in(g, bound):
-    """Passing ``exceptional_pairs(g)`` in gives the same generators and
-    the same gap as the scan inside the gap stage."""
-    pairs = exceptional_pairs(g)
-    assert normalization_generators(g, pairs) == normalization_generators(g)
-    assert gap_elements(g, bound, pairs=pairs) == gap_elements(g, bound)
 
 
 @settings(max_examples=80, deadline=None)

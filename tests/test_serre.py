@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edgering import serre
+from edgering import cycles, serre
 from edgering.facets import (
     FUNDAMENTAL_KIND,
     VERTEX_KIND,
@@ -138,15 +138,35 @@ def test_hk_witness(g34):
     assert hk.same_component_sets == ()
 
 
-def test_hk_witness_same_with_pairs_passed_in(g34):
-    """classify hands its exceptional pairs to hk_not_s2; the witness is
-    the one a standalone call finds."""
+def test_hk_witness_same_in_classify(g34):
+    """The witness classify reports is the one a standalone call finds."""
     for pair in [(1, 5), (2, 6), (3, 7)]:
         g = add_cross_edges(g34, [pair])
         hk = hk_not_s2(g)
         assert hk is not None
-        assert hk_not_s2(g, serre.exceptional_pairs(g)) == hk
         assert classify(g).hk_witness == hk
+
+
+def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
+    """One classify call runs the odd-cycle scan once, on a graph that
+    reaches the gap stage and on one refuted by HK: the HK check and the
+    pair vectors read the cached exceptional pairs."""
+    scans = []
+    real = cycles.minimal_odd_cycles
+
+    def counting(g):
+        scans.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cycles, "minimal_odd_cycles", counting)
+    for g, refuted in [(g33.graph, False), (add_cross_edges(g34, [(1, 5)]), True)]:
+        cycles.exceptional_pairs.cache_clear()
+        scans.clear()
+        rep = classify(g)
+        assert (rep.hk_witness is not None) == refuted
+        assert bool(rep.gap) != refuted
+        assert scans == [g]
+        assert isinstance(cycles.exceptional_pairs(g), tuple)
 
 
 def test_hk_none_cases(g33):
