@@ -71,7 +71,6 @@ from .serre import (
     hk_not_s2,
     in_localization,
     in_SF_bounded,
-    in_S_cap_F,
     vertex_parity_certificate,
 )
 

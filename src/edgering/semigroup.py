@@ -13,14 +13,15 @@ gap enumeration supplies one, so a negative answer is definitive.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, ge, sub
+from functools import cached_property, lru_cache
+from operator import add, ge, index, mul, sub
 
 import numpy as np
 
 from .cycles import exceptional_pairs, is_cycle_of
-from .facets import facets, regular_vertex_components
+from .facets import Facet, facets, generators_on_facet, regular_vertex_components
 from .graph import (
     Edge,
     Graph,
@@ -30,6 +31,7 @@ from .graph import (
     contains_odd_cycle,
     is_connected,
     mask_components,
+    mask_neighbors,
     rho_vector,
     to_mask,
 )
@@ -62,7 +64,11 @@ def _require_full(g: Graph) -> int:
 
 def _check_vector(g: Graph, x) -> Vector:
     d = _require_full(g)
-    vec = tuple(map(int, x))
+    try:
+        vec = tuple(map(index, x))  # int, bool and numpy integers; not 0.5 or '1'
+    except TypeError:
+        bad = next((c for c in x if not hasattr(type(c), "__index__")), x)
+        raise ValueError(f"vector coordinates must be integers, got {bad!r}") from None
     if len(vec) != d:
         raise ValueError(f"vector length {len(vec)} does not match d={d}")
     return vec
@@ -103,8 +109,8 @@ class _EdgeSumSearch:
     of ``levels[k]``: the table is the whole monoid in those degrees, by
     construction.  The branching above runs only until the degree falls
     into the table.  Without ``levels`` the table is just the zero vector,
-    as in the engines ``_search_engine`` shares; ``_gap_formula`` builds
-    its own engine over its table, which goes when the call ends.
+    as in the engine ``Cone.engine`` shares; ``_gap_formula`` builds its
+    own engine over its table, which goes when the call ends.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -158,9 +164,9 @@ class _EdgeSumSearch:
     def decide(self, x: Vector) -> bool:
         """Membership of x; the prune runs here, once, above the table.
 
-        x must be nonnegative; this is not checked.  ``in_S``,
-        ``in_S_cap_F`` and ``serre.in_SF_bounded`` check signs first, and
-        gap candidates are sums of nonnegative vectors.
+        x must be nonnegative; this is not checked.  ``in_S`` and
+        ``serre.in_SF_bounded`` check signs first, and gap candidates are
+        sums of nonnegative vectors.
         """
         deg = sum(x)
         if deg // 2 >= len(self.levels) and not self._prune(x):
@@ -210,11 +216,6 @@ class _EdgeSumSearch:
         return MembershipWitness(tuple(sorted(Counter(out).items())))
 
 
-@lru_cache(maxsize=64)
-def _search_engine(g: Graph) -> _EdgeSumSearch:
-    return _EdgeSumSearch(g)
-
-
 def in_lattice(g: Graph, x) -> bool:
     """Membership of an integer vector (signs allowed) in the lattice L
     generated by the edge vectors of a connected graph G.
@@ -241,6 +242,79 @@ def in_lattice(g: Graph, x) -> bool:
         return sum(vec) % 2 == 0
     first, second = bipartition(g)
     return sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
+
+
+class _FacetQuotient:
+    """The quotient Z^d / L(H_F) at one facet F, H_F its on-facet edges
+    on all d vertices, and the classes that sums of off-facet edges reach.
+
+    One coordinate per component K of H_F, by the closed form of
+    ``in_lattice`` per component: x(A) - x(B) when K is bipartite with
+    sides A and B (for an isolated vertex, its own coordinate), x(K) mod
+    2 when K has an odd cycle.  ``levels[k]`` maps each class that
+    off-facet edges of total ell-weight k reach to a back-pointer (class
+    at ell-weight k - ell(rho(e)), e), None at k = 0; it grows on demand,
+    up to the largest ell-weight asked.
+    """
+
+    __slots__ = ("graph", "normal", "groups", "mods", "steps", "levels")
+
+    def __init__(self, g: Graph, f: Facet):
+        self.graph = h = Graph(g.vertices, tuple(generators_on_facet(g, f)))
+        self.normal = f.normal
+        groups = []
+        for comp, odd in mask_components(h, h.vertex_mask):
+            if odd:
+                groups.append((tuple(v - 1 for v in bits(comp)), (), 2))
+                continue
+            # BFS layers alternate between the two sides of a bipartite K
+            sides, layer, depth = [0, 0], comp & -comp, 0
+            while layer:
+                sides[depth % 2] |= layer
+                layer = mask_neighbors(h, layer) & comp & ~(sides[0] | sides[1])
+                depth += 1
+            groups.append((tuple(v - 1 for v in bits(sides[0])), tuple(v - 1 for v in bits(sides[1])), 0))
+        self.groups = tuple(groups)
+        self.mods = tuple(mod for _, _, mod in groups)
+        on_facet = set(h.edges)
+        steps: dict[tuple[int, tuple[int, ...]], Edge] = {}  # one edge per (ell-weight, image)
+        for e in g.edges:
+            if e not in on_facet:
+                r = rho_vector(g.n_vertices, e)
+                steps.setdefault((self.weight(r), self.image(r)), e)
+        self.steps = sorted((c, img, e) for (c, img), e in steps.items())
+        self.levels: list[dict] = [{(0,) * len(groups): None}]
+
+    def weight(self, x: Vector) -> int:
+        """ell(x), the facet's normal applied to x."""
+        return sum(map(mul, self.normal, x))
+
+    def image(self, x: Vector) -> tuple[int, ...]:
+        """q(x), the class of x in Z^d / L(H_F)."""
+        out = []
+        for plus, minus, mod in self.groups:
+            val = sum(x[i] for i in plus) - sum(x[i] for i in minus)
+            out.append(val % mod if mod else val)
+        return tuple(out)
+
+    def reaches(self, cls: tuple[int, ...], weight: int) -> bool:
+        """Whether off-facet edges of total ell-weight ``weight`` reach the
+        class ``cls``: for cls = q(x) and weight = ell(x), whether some
+        w >= 0 has x - sum w_e rho(e) in L(H_F)."""
+        if weight < 0:
+            return False
+        levels, mods = self.levels, self.mods
+        while len(levels) <= weight:
+            k, level = len(levels), {}
+            for c, img, e in self.steps:
+                if c > k:
+                    break
+                for prev in levels[k - c]:
+                    nxt = tuple((a + b) % m if m else a + b for a, b, m in zip(prev, img, mods))
+                    if nxt not in level:
+                        level[nxt] = (prev, e)
+            levels.append(level)
+        return cls in levels[weight]
 
 
 def _max_flow(arcs: list[tuple[int, int, int]], source: int, sink: int) -> int:
@@ -323,7 +397,7 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
     vec = _check_vector(g, x)
     if any(v < 0 for v in vec):
         raise ValueError("semigroup members are nonnegative; got a negative coordinate")
-    return _search_engine(g).witness(vec)
+    return cone(g).engine.witness(vec)
 
 
 def normalization_generators(g: Graph) -> list[Vector]:
@@ -372,6 +446,66 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[d
     return levels
 
 
+class Cone:
+    """The per-graph data that ``serre.classify`` reads, each member built
+    on first use; ``cone(g)`` keeps only the last graph's object.
+
+    ``parity``: (v, v - 1, 0-based index tuples of the components of G
+    minus v) per regular vertex v, ascending: exactly the validated vertex
+    facets.  Lemma: x_v = 0 is a facet for regular v.  Proof.  Its
+    on-facet edges are those of G minus v, v isolated; each component K
+    has an odd cycle, so its edge lattice has rank |K| by the lemma of
+    ``in_lattice``, and the ranks add up to d - 1.  ``validated``: the
+    validated facets of ``facets(g)``.  ``engine``: the shared
+    ``_EdgeSumSearch(g)``, with no table.  ``quotient(f)`` and ``table(f,
+    bound)``: the data of ``serre.in_SF_bounded``, built once per facet.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._built: dict = {}  # f -> quotient, (f, bound) -> table
+
+    @cached_property
+    def parity(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
+        rows = ((v, regular_vertex_components(self.graph, v)) for v in self.graph.vertices)
+        return tuple((v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in comps))
+                     for v, comps in rows if comps is not None)
+
+    @cached_property
+    def validated(self) -> tuple[Facet, ...]:
+        return tuple(f for f in facets(self.graph) if f.validated)
+
+    @cached_property
+    def engine(self) -> _EdgeSumSearch:
+        return _EdgeSumSearch(self.graph)
+
+    def certifying(self, x: Vector) -> Iterator[int]:
+        """C(x), ascending: the regular v with x_v = 0 and a component of G
+        minus v of odd x-weight, sound by ``serre.vertex_parity_certificate``."""
+        return (v for v, i, comps in self.parity
+                if not x[i] and any(sum(map(x.__getitem__, comp)) % 2 for comp in comps))
+
+    def quotient(self, f: Facet) -> _FacetQuotient:
+        if f not in self._built:
+            self._built[f] = _FacetQuotient(self.graph, f)
+        return self._built[f]
+
+    def table(self, f: Facet, bound: int) -> list[Vector]:
+        """All members of S on the facet with coordinate sum <= bound,
+        ordered by (degree, lex), zero first: the sorted keys of each
+        ``_edge_sum_levels`` dict over the on-facet edges."""
+        if (f, bound) not in self._built:
+            levels = _edge_sum_levels(self.graph.n_vertices, tuple(generators_on_facet(self.graph, f)), bound)
+            self._built[f, bound] = [y for level in levels for y in sorted(level)]
+        return self._built[f, bound]
+
+
+@lru_cache(maxsize=1)
+def cone(g: Graph) -> Cone:
+    """The ``Cone`` of g; only the last graph's is kept."""
+    return Cone(g)
+
+
 def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound: int) -> list[Vector]:
     """Step A of ``_gap_formula``: close ``gens`` under adding a generator,
     to degree <= degree_bound, keeping y only when it is neither in S nor
@@ -392,16 +526,6 @@ def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound:
                     grown.add(z)
         frontier = sorted(grown, key=sum)
     return module
-
-
-def _certifying_vertices(g: Graph, x: Vector) -> int:
-    """C(x) as a bitmask: the regular v with x_v = 0 and a component of
-    G minus v of odd x-weight."""
-    return to_mask(
-        v for v in g.vertices
-        if not x[v - 1]
-        and any(sum(x[u - 1] for u in comp) % 2 for comp in regular_vertex_components(g, v) or ())
-    )
 
 
 def _covers_in_S(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: int) -> bool:
@@ -430,7 +554,7 @@ def _covers_in_S(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: in
 
 def _gap_proof(g: Graph, engine: _EdgeSumSearch, module: list[Vector], degree_bound: int) -> list[int] | None:
     """Steps B and C of ``_gap_formula``: C(x) per x in M, or None."""
-    covers = [_certifying_vertices(g, x) for x in module]
+    covers = [to_mask(cone(g).certifying(x)) for x in module]
     if all(covers) and all(_covers_in_S(engine, x, c, degree_bound) for x, c in zip(module, covers)):
         return covers
     return None
@@ -469,7 +593,8 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     each partial sum is in S or m + S, by induction, as gamma and each
     m + gamma were kept in M, or found in S or in m' + S.  So x + beta,
     x in M, beta in ``levels[k]``, 2k <= b - deg(x), covers the gap.
-    Step B: every C(x), x in M, is nonempty (generators checked first).
+    Step B: every C(x), x in M, is nonempty (generators checked first);
+    C(x) is read off ``Cone.certifying``, the test ``classify`` runs too.
     Step C (``_covers_in_S``): for x in M, choosing an edge at each
     vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e) is in
     S or of degree > b.
@@ -489,7 +614,7 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
         return []
-    provable = all(_certifying_vertices(g, x) for x in gens)
+    provable = all(to_mask(cone(g).certifying(x)) for x in gens)
     levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
     engine = _EdgeSumSearch(g, levels)
     module = _module_generators(engine, gens, degree_bound)
@@ -524,9 +649,9 @@ def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
     Kept in src as the only numpy user: the benchmark reads ``import.numpy.
     ms``, and ``perfbench/tests/test_smoke.py`` fails if edgering loads no numpy."""
     vecs = np.array(_nonnegative_vectors(g.n_vertices, degree_bound), dtype=np.int64)
-    normals = np.array([f.normal for f in facets(g) if f.validated], dtype=np.int64)
+    normals = np.array([f.normal for f in cone(g).validated], dtype=np.int64)
     sbar = vecs[(vecs @ normals.T >= 0).all(axis=1) & (vecs.sum(axis=1) % 2 == 0)]
-    engine = _search_engine(g)
+    engine = cone(g).engine
     gap = [alpha for alpha in map(tuple, sbar.tolist()) if not engine.decide(alpha)]
     return sorted(gap, key=lambda v: (sum(v), v))
 

@@ -17,22 +17,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add
 
 from .cycles import ExceptionalPair, exceptional_pairs
-from .facets import (
-    VERTEX_KIND,
-    Facet,
-    facets,
-    fundamental_sets,
-    generators_on_facet,
-    regular_vertex_components,
-)
+from .facets import VERTEX_KIND, Facet, fundamental_sets, regular_vertex_components
 from .graph import (
     Edge,
     Graph,
     UnsupportedGraphError,
-    bits,
     contains_odd_cycle,
     is_connected,
     mask_components,
@@ -44,9 +36,7 @@ from .semigroup import (
     MembershipWitness,
     Vector,
     _check_vector,
-    _EdgeSumSearch,
-    _edge_sum_levels,
-    _search_engine,
+    cone,
     gap_elements,
     in_lattice,
     in_S,
@@ -160,101 +150,6 @@ class ClassificationReport:
         }
 
 
-def in_S_cap_F(g: Graph, f: Facet, y) -> MembershipWitness | None:
-    """Membership of y in the semigroup generated by the on-facet edges,
-    by the same exhaustive search as in_S restricted to those edges."""
-    vec = _check_vector(g, y)
-    if any(v < 0 for v in vec):
-        raise ValueError("semigroup members are nonnegative; got a negative coordinate")
-    return _EdgeSumSearch(Graph(g.vertices, tuple(generators_on_facet(g, f)))).witness(vec)
-
-
-def _facet_semigroup_bounded(g: Graph, f: Facet, bound: int) -> list[Vector]:
-    """All members of S on the facet with coordinate sum <= bound,
-    ordered by (degree, lex); starts with the zero vector.  These are the
-    sorted keys of each ``_edge_sum_levels`` dict over the on-facet edges.
-
-    Built fresh on every call; ``in_SF_bounded`` builds it only after the
-    exact test of ``in_localization`` says yes, and keeps one per facet in
-    the ``tables`` dict its caller passes.
-    """
-    levels = _edge_sum_levels(g.n_vertices, tuple(generators_on_facet(g, f)), bound)
-    return [y for level in levels for y in sorted(level)]
-
-
-class _FacetQuotient:
-    """The quotient Z^d / L(H_F) at one facet F, H_F its on-facet edges
-    on all d vertices, and the classes that sums of off-facet edges reach.
-
-    One coordinate per component K of H_F, by the closed form of
-    ``semigroup.in_lattice`` per component: x(A) - x(B) when K is
-    bipartite with sides A and B (for an isolated vertex, its own
-    coordinate), x(K) mod 2 when K has an odd cycle.  ``levels[k]`` maps
-    each class that off-facet edges of total ell-weight k reach to a
-    back-pointer (class at ell-weight k - ell(rho(e)), e), None at k = 0;
-    it grows on demand, up to the largest ell-weight asked.
-    """
-
-    __slots__ = ("graph", "normal", "groups", "mods", "steps", "levels")
-
-    def __init__(self, g: Graph, f: Facet):
-        self.graph = h = Graph(g.vertices, tuple(generators_on_facet(g, f)))
-        self.normal = f.normal
-        groups = []
-        for comp, odd in mask_components(h, h.vertex_mask):
-            if odd:
-                groups.append((tuple(v - 1 for v in bits(comp)), (), 2))
-                continue
-            # BFS layers alternate between the two sides of a bipartite K
-            sides, layer, depth = [0, 0], comp & -comp, 0
-            while layer:
-                sides[depth % 2] |= layer
-                layer = mask_neighbors(h, layer) & comp & ~(sides[0] | sides[1])
-                depth += 1
-            groups.append((tuple(v - 1 for v in bits(sides[0])), tuple(v - 1 for v in bits(sides[1])), 0))
-        self.groups = tuple(groups)
-        self.mods = tuple(mod for _, _, mod in groups)
-        on_facet = set(h.edges)
-        steps: dict[tuple[int, tuple[int, ...]], Edge] = {}  # one edge per (ell-weight, image)
-        for e in g.edges:
-            if e not in on_facet:
-                r = rho_vector(g.n_vertices, e)
-                steps.setdefault((self.weight(r), self.image(r)), e)
-        self.steps = sorted((c, img, e) for (c, img), e in steps.items())
-        self.levels: list[dict] = [{(0,) * len(groups): None}]
-
-    def weight(self, x: Vector) -> int:
-        """ell(x), the facet's normal applied to x."""
-        return sum(map(mul, self.normal, x))
-
-    def image(self, x: Vector) -> tuple[int, ...]:
-        """q(x), the class of x in Z^d / L(H_F)."""
-        out = []
-        for plus, minus, mod in self.groups:
-            val = sum(x[i] for i in plus) - sum(x[i] for i in minus)
-            out.append(val % mod if mod else val)
-        return tuple(out)
-
-    def reaches(self, cls: tuple[int, ...], weight: int) -> bool:
-        """Whether off-facet edges of total ell-weight ``weight`` reach the
-        class ``cls``: for cls = q(x) and weight = ell(x), whether some
-        w >= 0 has x - sum w_e rho(e) in L(H_F)."""
-        if weight < 0:
-            return False
-        levels, mods = self.levels, self.mods
-        while len(levels) <= weight:
-            k, level = len(levels), {}
-            for c, img, e in self.steps:
-                if c > k:
-                    break
-                for prev in levels[k - c]:
-                    nxt = tuple((a + b) % m if m else a + b for a, b, m in zip(prev, img, mods))
-                    if nxt not in level:
-                        level[nxt] = (prev, e)
-            levels.append(level)
-        return cls in levels[weight]
-
-
 def _lattice_coefficients(h: Graph, x: list[int]) -> Counter:
     """Integer z with sum z_e rho(e) = x over the edges of h, for x in the
     edge lattice of h, by the constructive proof of ``semigroup.
@@ -318,9 +213,9 @@ def in_localization(g: Graph, f: Facet, alpha) -> LocalizationMembership:
     Decision.  L(H_F) is the direct sum of the lattices of the components
     of H_F, so by the lemma of ``semigroup.in_lattice`` per component, x
     is in L(H_F) iff its class q(x) in Z^d / L(H_F) is zero (coordinates
-    in ``_FacetQuotient``).  q is additive, so the question is whether
-    q(alpha) is a sum of images q(rho(e)) of off-facet edges of total
-    ell-weight ell(alpha): a reachability search over ell-weight levels
+    in ``semigroup._FacetQuotient``).  q is additive, so the question is
+    whether q(alpha) is a sum of images q(rho(e)) of off-facet edges of
+    total ell-weight ell(alpha): a reachability search over ell-weights
     0..ell(alpha).  At a vertex facet x_v = 0 this is closed form: the
     off-facet edges are those at v, each of ell-weight 1, so alpha is
     excluded iff more components of G minus v have odd alpha-weight than
@@ -328,10 +223,11 @@ def in_localization(g: Graph, f: Facet, alpha) -> LocalizationMembership:
 
     Returns ``LocalizationMembership``: on a yes the off-facet multiset w
     (read off back-pointers) and y rebuilt from z; on a no the unreached
-    class q(alpha) and ell(alpha).
+    class q(alpha) and ell(alpha).  The quotient is ``cone(g).quotient(f)``,
+    which ``in_SF_bounded`` shares, so calls at F grow one set of levels.
     """
     vec = _check_vector(g, alpha)
-    quotient = _FacetQuotient(g, f)
+    quotient = cone(g).quotient(f)
     weight, target = quotient.weight(vec), quotient.image(vec)
     if not quotient.reaches(target, weight):
         return LocalizationMembership(False, weight, target)
@@ -361,7 +257,8 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     an edge sum.
 
     The components come from ``regular_vertex_components``, cached per
-    (graph, vertex), so a repeated call costs O(d).
+    (graph, vertex), so a repeated call costs O(d).  ``classify`` calls
+    it only for the first v that the same test, ``Cone.certifying``, finds.
     """
     vec = _check_vector(g, alpha)
     comps = regular_vertex_components(g, v)
@@ -375,9 +272,7 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     return None
 
 
-def in_SF_bounded(
-    g: Graph, f: Facet, alpha, search_bound: int = 12, tables: dict | None = None
-) -> BoundedMembership:
+def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = 12) -> BoundedMembership:
     """Bounded test of alpha's membership in the localization at facet f.
 
     Tries the exact parity certificate first (vertex facets only), then
@@ -389,11 +284,8 @@ def in_SF_bounded(
     A bounded yes implies an exact yes, so the exact test changes no
     outcome; it only skips the search where no y exists.
 
-    The candidates y come from ``_facet_semigroup_bounded``.  ``tables``,
-    when given, keeps the facet's quotient data (key f) and that table
-    (key (f, bound)) across calls on the same graph; ``classify`` passes a
-    fresh dict per call, so each is built at most once per classification
-    and never outlives it.  Without ``tables`` both are built afresh.
+    The quotient and the table of y are ``cone(g)``'s ``quotient(f)`` and
+    ``table(f, search_bound)``, each built once while g's cone is kept.
     """
     vec = _check_vector(g, alpha)
     if search_bound < 0:
@@ -404,19 +296,14 @@ def in_SF_bounded(
         cert = vertex_parity_certificate(g, f.vertices[0], vec)
         if cert is not None:
             return BoundedMembership(NO_CERTIFIED, certificate=cert)
-    tables = {} if tables is None else tables
-    quotient = tables.get(f)
-    if quotient is None:
-        quotient = tables[f] = _FacetQuotient(g, f)
+    c = cone(g)
+    quotient = c.quotient(f)
     if not quotient.reaches(quotient.image(vec), quotient.weight(vec)):
         return BoundedMembership(NO_UP_TO_BOUND)
-    if (f, search_bound) not in tables:
-        tables[f, search_bound] = _facet_semigroup_bounded(g, f, search_bound)
-    engine = _search_engine(g)
-    for y in tables[f, search_bound]:
+    for y in c.table(f, search_bound):
         shifted = tuple(map(add, vec, y))
         # a signed alpha can leave negative entries, which decide assumes away
-        if min(shifted) >= 0 and engine.decide(shifted):
+        if min(shifted) >= 0 and c.engine.decide(shifted):
             return BoundedMembership(YES, y=y, witness=in_S(g, shifted))
     return BoundedMembership(NO_UP_TO_BOUND)
 
@@ -534,26 +421,15 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         return _report(verdict=VERDICT_UNKNOWN)
 
     t0 = time.perf_counter()
-    validated = [f for f in facets(g) if f.validated]
-    # (v, v - 1, 0-based component index tuples) per validated vertex facet,
-    # so the parity test runs inline and the certificate is built once
-    parity_checks = [
-        (v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in regular_vertex_components(g, v)))
-        for v in (f.vertices[0] for f in validated if f.kind == VERTEX_KIND)
-    ]
+    c = cone(g)
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
-    tables: dict = {}  # per facet: quotient data and bounded table; dropped when classify returns
     for alpha in gap:
-        v = next(
-            (v for v, i, comps in parity_checks
-             if not alpha[i] and any(sum(map(alpha.__getitem__, comp)) % 2 for comp in comps)),
-            None,
-        )
+        v = next(c.certifying(alpha), None)  # the lowest vertex of C(alpha)
         if v is not None:
             certificates.append(vertex_parity_certificate(g, v, alpha))
             continue
-        if all(in_SF_bounded(g, f, alpha, search_bound, tables).status == YES for f in validated):
+        if all(in_SF_bounded(g, f, alpha, search_bound).status == YES for f in c.validated):
             timings["exclusion"] = (time.perf_counter() - t0) * 1000.0
             return _report(
                 verdict=VERDICT_NOT_S2, gap=gap, certificates=tuple(certificates), s_prime_candidate=alpha

@@ -10,7 +10,6 @@ from edgering.cycles import exceptional_pairs
 from edgering.families import add_cross_edges, build_gab, cross_pairs, graph_for_theorem
 from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle, rho_vector, to_mask
 from edgering.semigroup import (
-    _certifying_vertices,
     _EdgeSumSearch,
     _edge_sum_levels,
     _gap_candidates,
@@ -18,7 +17,7 @@ from edgering.semigroup import (
     _gap_proof,
     _module_generators,
     _nonnegative_vectors,
-    _search_engine,
+    cone,
     cycle_indicator,
     gap_elements,
     in_S,
@@ -355,7 +354,7 @@ def test_table_lookup_matches_plain_search():
     def check(g, bound):
         gap = gap_elements(g, bound)
         # the table is dropped when the gap call ends
-        assert len(_search_engine(g).levels) == 1
+        assert len(cone(g).engine.levels) == 1
         if not any(sum(x) <= bound for x in normalization_generators(g)):
             assert gap == []
             return
@@ -383,7 +382,7 @@ def test_pool_graph_0_is_not_proven():
     and the fallback search agrees with the direct route."""
     g = Graph.from_edge_list(8, [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7),
                                  (4, 6), (5, 6), (5, 8)])
-    assert not all(_certifying_vertices(g, x) for x in normalization_generators(g))
+    assert not all(to_mask(cone(g).certifying(x)) for x in normalization_generators(g))
     assert _formula_route(g, 8)[2] is None
     assert gap_elements(g, 8) == _gap_direct(g, 8) != []
 
@@ -395,7 +394,7 @@ def test_cover_check_decides_the_route():
     g = Graph.from_edge_list(9, [(1, 3), (1, 7), (1, 8), (2, 3), (2, 4), (3, 4), (5, 6),
                                  (5, 8), (5, 9), (6, 7), (8, 9)])
     module, _, covers = _formula_route(g, 10)
-    assert all(_certifying_vertices(g, x) for x in module)
+    assert all(to_mask(cone(g).certifying(x)) for x in module)
     assert covers is None
     assert gap_elements(g, 10) == _gap_direct(g, 10) != []
 

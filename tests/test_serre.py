@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+import re
 from collections import defaultdict
 from operator import add, mul
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edgering import cycles, serre
+from edgering import cycles, semigroup, serre
 from edgering.facets import (
     FUNDAMENTAL_KIND,
     VERTEX_KIND,
@@ -20,8 +22,8 @@ from edgering.facets import (
     regular_vertex_components,
 )
 from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
-from edgering.graph import Graph, UnsupportedGraphError, connected_components, delete_vertex
-from edgering.semigroup import gap_elements, in_lattice, in_S
+from edgering.graph import Graph, UnsupportedGraphError, bits, connected_components, delete_vertex, to_mask
+from edgering.semigroup import cone, gap_elements, in_cone, in_lattice, in_S
 from edgering.serre import (
     NO_CERTIFIED,
     NO_UP_TO_BOUND,
@@ -31,11 +33,9 @@ from edgering.serre import (
     VERDICT_UNKNOWN,
     YES,
     BoundedMembership,
-    _facet_semigroup_bounded,
     classify,
     hk_not_s2,
     in_localization,
-    in_S_cap_F,
     in_SF_bounded,
     vertex_parity_certificate,
 )
@@ -50,16 +50,6 @@ POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b48169
 
 def vertex_facet(g, v):
     return next(f for f in facets(g) if f.kind == VERTEX_KIND and f.vertices == (v,))
-
-
-def test_in_S_cap_F(g33):
-    g = g33.graph
-    fw = vertex_facet(g, 4)
-    w = in_S_cap_F(g, fw, (1, 1, 0, 0, 1, 1, 0))
-    assert w is not None
-    assert all(4 not in e for e, _ in w.multiplicities)
-    # needs a hub edge, so not in the facet part
-    assert in_S_cap_F(g, fw, (1, 0, 0, 1, 0, 0, 0)) is None
 
 
 def test_vertex_parity_certificate(g33):
@@ -336,37 +326,51 @@ def test_facet_table_matches_level_loop():
                 continue
             for bound in range(9):
                 expected = helpers.facet_semigroup_reference(g, f, bound)
-                assert _facet_semigroup_bounded(g, f, bound) == expected, (g.edges, f, bound)
+                assert cone(g).table(f, bound) == expected, (g.edges, f, bound)
 
 
-def test_facet_tables_live_for_one_classify_call(g33, monkeypatch):
-    built = []
-    real = serre._facet_semigroup_bounded
+@pytest.fixture
+def level_calls(monkeypatch):
+    """(edges, max_degree) of each ``semigroup._edge_sum_levels`` call: the
+    gap stage's over all edges of a graph, ``Cone.table``'s over one facet's."""
+    calls = []
+    real = semigroup._edge_sum_levels
 
-    def counting(g, f, bound):
-        built.append(f)
-        return real(g, f, bound)
+    def counting(d, edges, max_degree):
+        calls.append((edges, max_degree))
+        return real(d, edges, max_degree)
 
-    monkeypatch.setattr(serre, "_facet_semigroup_bounded", counting)
+    monkeypatch.setattr(semigroup, "_edge_sum_levels", counting)
+    return calls
+
+
+def table_builds(calls, g):
+    """The validated facets of g whose bounded table was built, in order."""
+    by_edges = {f.on_facet_edges: f for f in facets(g) if f.validated}
+    return [by_edges[edges] for edges, _ in calls if edges in by_edges]
+
+
+def test_facet_tables_live_while_the_graph_is_kept(g33, level_calls):
+    """``Cone.table`` builds each (facet, bound) table once while ``cone``
+    keeps the graph: a second classify call reuses the tables, and a
+    classify of another graph releases them."""
     rep = classify(g33.graph)
     assert rep.verdict == VERDICT_S2_VERIFIED and rep.exhaustive
-    assert built == []  # every gap element is certified: no search, no table
+    assert table_builds(level_calls, g33.graph) == []  # every gap element is certified: no search, no table
 
     g = localization_graph()
     validated = [f for f in facets(g) if f.validated]
-    for _ in range(2):  # a second call builds its own tables again
-        built.clear()
+    for _ in range(2):
         rep = classify(g, degree_bound=8, search_bound=8)
         assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive and not rep.certificates
-        # every gap element searches the first facet, yet each table is built once
-        assert rep.gap_count > 1
-        assert built and len(built) == len(set(built)) and built[0] == validated[0]
+    # every gap element searches the first facet, yet over both calls each table is built once
+    first = table_builds(level_calls, g)
+    assert rep.gap_count > 1 and first and len(first) == len(set(first)) and first[0] == validated[0]
 
-    # without a tables dict every call builds its table afresh
-    built.clear()
-    first = in_SF_bounded(g, validated[0], rep.gap[0], search_bound=8)
-    assert in_SF_bounded(g, validated[0], rep.gap[0], search_bound=8) == first
-    assert built == [validated[0]] * 2
+    classify(g33.graph)  # cone now keeps G(3,3)
+    level_calls.clear()
+    assert classify(g, degree_bound=8, search_bound=8).to_json_dict() == rep.to_json_dict()
+    assert table_builds(level_calls, g) == first
 
 
 def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
@@ -375,8 +379,8 @@ def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
     seen = []
 
     def stub(status):
-        def fake(g, f, alpha, search_bound, tables=None):
-            seen.append((f, tables))
+        def fake(g, f, alpha, search_bound):
+            seen.append(f)
             return BoundedMembership(status)
 
         return fake
@@ -390,8 +394,7 @@ def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
     monkeypatch.setattr(serre, "in_SF_bounded", stub(YES))
     rep = classify(g, degree_bound=8, search_bound=8)
     assert rep.verdict == VERDICT_NOT_S2 and rep.s_prime_candidate == rep.gap[0]
-    assert [f for f, _ in seen] == validated
-    assert all(tables is seen[0][1] for _, tables in seen) and seen[0][1] is not None
+    assert seen == validated
 
 
 def test_pool_graph_0_report_at_default_bounds():
@@ -458,7 +461,7 @@ def test_in_localization_matches_bounded_search(query):
             if bounded.status == NO_CERTIFIED:
                 assert not exact.member
         if exact.member:
-            assert in_S_cap_F(g, f, exact.y) is not None
+            assert in_S(Graph(g.vertices, f.on_facet_edges), exact.y) is not None
             assert in_S(g, tuple(map(add, alpha, exact.y))) is not None
             on = set(generators_on_facet(g, f))
             assert not on & {e for e, _ in exact.off_facet}
@@ -499,27 +502,86 @@ def test_in_localization_signed_candidates(g33):
     assert pair.y == (2, 2, 0, 0, 0, 0, 0)
 
 
-def test_exact_no_facets_build_no_table(monkeypatch):
+def test_exact_no_facets_build_no_table(monkeypatch, level_calls):
     """On pool graph 0 at bounds 8/8, a facet where every call is an exact
     no never has its bounded table built; every facet whose table is built
     had an exact yes."""
     g = localization_graph()
-    calls, built = defaultdict(list), []
-    real_search, real_table = serre.in_SF_bounded, serre._facet_semigroup_bounded
+    cone.cache_clear()
+    calls = defaultdict(list)
+    real_search = serre.in_SF_bounded
 
-    def recording(g, f, alpha, search_bound=12, tables=None):
+    def recording(g, f, alpha, search_bound=12):
         calls[f].append(alpha)
-        return real_search(g, f, alpha, search_bound, tables)
-
-    def counting(g, f, bound):
-        built.append(f)
-        return real_table(g, f, bound)
+        return real_search(g, f, alpha, search_bound)
 
     monkeypatch.setattr(serre, "in_SF_bounded", recording)
-    monkeypatch.setattr(serre, "_facet_semigroup_bounded", counting)
     rep = classify(g, degree_bound=8, search_bound=8)
     assert rep.verdict == VERDICT_S2_VERIFIED and not rep.certificates
+    built = table_builds(level_calls, g)
     exact_no = {f for f, alphas in calls.items()
                 if not any(in_localization(g, f, alpha).member for alpha in alphas)}
     assert exact_no and not exact_no & set(built)
     assert set(built) == set(calls) - exact_no
+
+
+def test_in_localization_keeps_one_quotient_per_facet(monkeypatch):
+    """A second ``in_localization`` call at the same (g, f), and an
+    ``in_SF_bounded`` call there, build no further ``_FacetQuotient``."""
+    g = localization_graph()
+    f = next(f for f in facets(g) if f.validated)
+    alpha = gap_elements(g, 8)[0]
+    built = []
+    real = semigroup._FacetQuotient
+
+    def counting(g, f):
+        built.append(f)
+        return real(g, f)
+
+    monkeypatch.setattr(semigroup, "_FacetQuotient", counting)
+    cone.cache_clear()
+    first = in_localization(g, f, alpha)
+    assert in_localization(g, f, alpha) == first
+    in_SF_bounded(g, f, alpha, search_bound=8)
+    assert built == [f]
+
+
+def certifying_reference(g, x):
+    """C(x) as a mask, from freshly built components of G minus v."""
+    comps = {v: helpers.regular_vertex_components_reference(g, v) for v in g.vertices}
+    return to_mask(v for v, cs in comps.items()
+                   if cs is not None and not x[v - 1] and any(sum(x[u - 1] for u in c) % 2 for c in cs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(connected_nonbipartite(dmax=9), with_exceptional_pair(dmax=9)), st.data())
+def test_cone_parity_is_the_vertex_facets(g, data):
+    """The parity rows of ``Cone`` are the regular vertices, which are the
+    vertices of the validated vertex facets; ``Cone.certifying`` is C(x);
+    each ``classify`` certificate sits at the lowest vertex of C(alpha)."""
+    c = cone(g)
+    regular = [v for v in g.vertices if helpers.regular_vertex_components_reference(g, v) is not None]
+    assert [v for v, _, _ in c.parity] == regular
+    assert regular == [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
+    assert all(f.validated for f in facets(g) if f.kind == VERTEX_KIND)
+    x = data.draw(st.lists(st.integers(0, 2), min_size=g.n_vertices, max_size=g.n_vertices))
+    assert to_mask(c.certifying(x)) == certifying_reference(g, x)
+    for cert in classify(g, degree_bound=8, search_bound=4).certificates:
+        assert cert.vertex == bits(certifying_reference(g, cert.candidate))[0]
+
+
+@pytest.mark.parametrize("call", [
+    in_S,
+    in_lattice,
+    in_cone,
+    lambda g, x: in_localization(g, vertex_facet(g, 4), x),
+    lambda g, x: vertex_parity_certificate(g, 4, x),
+], ids=["in_S", "in_lattice", "in_cone", "in_localization", "vertex_parity_certificate"])
+def test_vectors_need_integer_coordinates(g33, call):
+    """A float or a string coordinate is rejected, naming it, instead of
+    being truncated or parsed; numpy integers are integers."""
+    g = g33.graph
+    for bad in (0.5, "1"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call(g, (1, bad, 1, 0, 1, 1, 1))
+    assert call(g, tuple(np.int64(v) for v in ALPHA)) == call(g, ALPHA)
