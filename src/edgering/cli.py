@@ -34,7 +34,9 @@ from .families import (
     theorem_edge_range,
 )
 from .graph import GraphFormatError, UnsupportedGraphError, parse_graph, write_graph
+from .semigroup import DEGREE_BOUND
 from .serre import (
+    SEARCH_BOUND,
     VERDICT_NORMAL,
     VERDICT_NOT_S2,
     VERDICT_S2_VERIFIED,
@@ -132,8 +134,8 @@ def _theorem_job(args: tuple[int, int, int, int]) -> tuple[dict, ClassificationR
 def theorem_results(
     d: int,
     n_values: list[int],
-    degree_bound: int = 16,
-    search_bound: int = 12,
+    degree_bound: int = DEGREE_BOUND,
+    search_bound: int = SEARCH_BOUND,
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
@@ -231,10 +233,7 @@ def _cmd_family(args) -> int:
             raise ValueError("--d needs --n")
         fam = graph_for_theorem(args.d, args.n)
     elif args.a is not None and args.b is not None:
-        if args.n is None:
-            fam = family_graph(args.a, args.b, max_family_edges(args.a, args.b))
-        else:
-            fam = family_graph(args.a, args.b, args.n)
+        fam = family_graph(args.a, args.b, max_family_edges(args.a, args.b) if args.n is None else args.n)
     else:
         raise ValueError("need --d/--n or --a/--b")
     n = fam.graph.n_edges
@@ -264,12 +263,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Normality and Serre depth condition analysis for edge rings of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--degree-bound", type=int, default=DEGREE_BOUND)
+    bounds.add_argument("--search-bound", type=int, default=SEARCH_BOUND)
+    sweep = argparse.ArgumentParser(add_help=False, parents=[bounds])
+    sweep.add_argument("--jobs", type=_positive_int, default=1)
+    sweep.add_argument("--format", choices=["json", "tsv"], default="json")
+    sweep.add_argument("--output")
 
-    p_analyze = sub.add_parser("analyze", help="classify one graph file")
+    p_analyze = sub.add_parser("analyze", parents=[bounds], help="classify one graph file")
     p_analyze.add_argument("--input", required=True, help="graph file to read")
     p_analyze.add_argument("--output", help="write the JSON report here (default stdout)")
-    p_analyze.add_argument("--degree-bound", type=int, default=16)
-    p_analyze.add_argument("--search-bound", type=int, default=12)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_family = sub.add_parser("family", help="write a canonical family graph file")
@@ -280,27 +284,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--output", help="graph file path; sidecar goes to <path>.meta.json")
     p_family.set_defaults(func=_cmd_family)
 
-    p_thm = sub.add_parser("verify-theorem", help="classify a whole edge-count range")
+    p_thm = sub.add_parser("verify-theorem", parents=[sweep], help="classify a whole edge-count range")
     p_thm.add_argument("--d", type=int, required=True)
     p_thm.add_argument("--n", type=int, help="single edge count instead of a range")
     p_thm.add_argument("--n-min", type=int)
     p_thm.add_argument("--n-max", type=int)
-    p_thm.add_argument("--degree-bound", type=int, default=16)
-    p_thm.add_argument("--search-bound", type=int, default=12)
-    p_thm.add_argument("--jobs", type=_positive_int, default=1)
-    p_thm.add_argument("--format", choices=["json", "tsv"], default="json")
-    p_thm.add_argument("--output")
     p_thm.set_defaults(func=_cmd_verify_theorem)
 
-    p_add = sub.add_parser("additions", help="classify cross-edge augmentations")
+    p_add = sub.add_parser("additions", parents=[sweep], help="classify cross-edge augmentations")
     p_add.add_argument("--a", type=int, required=True)
     p_add.add_argument("--b", type=int, required=True)
     p_add.add_argument("--max-extra", type=int)
-    p_add.add_argument("--degree-bound", type=int, default=16)
-    p_add.add_argument("--search-bound", type=int, default=12)
-    p_add.add_argument("--jobs", type=_positive_int, default=1)
-    p_add.add_argument("--format", choices=["json", "tsv"], default="json")
-    p_add.add_argument("--output")
     p_add.set_defaults(func=_cmd_additions)
 
     return parser

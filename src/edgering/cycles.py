@@ -8,7 +8,6 @@ appears exactly once regardless of rotation or direction.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .graph import Graph, bits, mask_neighbors, to_mask
@@ -89,14 +88,13 @@ def has_bridge(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     return any(v in adj[u] for u in s1 for v in s2)
 
 
-@lru_cache(maxsize=256)
 def exceptional_pairs(g: Graph) -> tuple[ExceptionalPair, ...]:
     """All unordered pairs of vertex-disjoint minimal odd cycles with no
     bridge, each pair ordered (smaller cycle first), sorted.
 
     Cycle j misses cycle i and every edge out of it exactly when no
-    vertex of j lies in the closed neighbourhood of i.  Cached, and a
-    tuple, so every stage of ``classify`` shares one scan it cannot change.
+    vertex of j lies in the closed neighbourhood of i.  Not cached here:
+    ``semigroup.Cone.pairs`` keeps the scan for the stages of ``classify``.
     """
     cycles = minimal_odd_cycles(g)
     own = [to_mask(c) for c in cycles]

@@ -13,7 +13,6 @@ does not read the facets; ``semigroup.in_cone`` decides it by a flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .graph import (
@@ -54,15 +53,13 @@ class Facet:
     validated: bool
 
 
-@lru_cache(maxsize=256)
 def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] | None:
     """The components of G minus v, each a sorted tuple, ordered by
     smallest member, when v is regular; None otherwise.
 
     A vertex is regular when every component of G minus v has an odd
-    cycle.  Cached per (graph, vertex), so G minus v is built and
-    traversed once; the parity certificates and the HK criterion then
-    read the components instead of rebuilding G minus v per query.
+    cycle.  Builds and traverses G minus v on every call;
+    ``semigroup.Cone.components`` keeps the answer per vertex.
     """
     rest = delete_vertex(g, v)  # rejects a v outside G, as a bare mask would not
     comps = mask_components(rest, rest.vertex_mask)
@@ -172,7 +169,6 @@ def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tupl
     return Facet(kind, verts, normal, tuple(on_facet), validated)
 
 
-@lru_cache(maxsize=128)
 def facets(g: Graph) -> tuple[Facet, ...]:
     """All supporting-hyperplane candidates of the edge cone, vertex kind
     first (ascending vertex) then fundamental kind (by size, then T).
@@ -189,14 +185,9 @@ def facets(g: Graph) -> tuple[Facet, ...]:
     d = g.n_vertices
     out: list[Facet] = []
     seen: set[tuple[int, ...]] = set()
-    for v in g.vertices:
-        if not is_regular_vertex(g, v):
-            continue
-        normal = tuple(1 if u == v else 0 for u in range(1, d + 1))
-        if normal in seen:
-            continue
-        seen.add(normal)
-        out.append(_facet_from_normal(g, VERTEX_KIND, (v,), normal))
+    for v in g.vertices:  # distinct unit normals; a fundamental normal has a -1
+        if is_regular_vertex(g, v):
+            out.append(_facet_from_normal(g, VERTEX_KIND, (v,), tuple(int(u == v) for u in range(1, d + 1))))
     for t in fundamental_sets(g):
         nset = neighborhood(g, t)
         normal = tuple(1 if u in nset else (-1 if u in t else 0) for u in range(1, d + 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, integer_vector
 
 # sanity bound matching the rest of the package; schedules stay small
 _MAX_SIDE = 32
@@ -200,9 +200,7 @@ def cross_pairs(fam: FamilyGraph) -> list[Edge]:
 def in_set_A(fam: FamilyGraph, x) -> bool:
     """Membership in the exclusion set A: zero at the hub and odd
     coordinate sums on both sides."""
-    vec = tuple(int(v) for v in x)
-    if len(vec) != fam.graph.n_vertices:
-        raise ValueError("vector length does not match the family dimension")
+    vec = integer_vector(x, fam.graph.n_vertices)
     if vec[fam.w - 1] != 0:
         return False
     u_sum = sum(vec[v - 1] for v in fam.u_side)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -131,9 +132,6 @@ class Graph:
         """Bitmask of the vertex labels."""
         return to_mask(self.vertices)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -184,6 +182,19 @@ def neighborhood(g: Graph, t: Iterable[int]) -> VertexSet:
     for v in tset:
         out |= g.adjacency[v]
     return frozenset(out)
+
+
+def integer_vector(x, d: int) -> tuple[int, ...]:
+    """x as a tuple of d ints (int, bool, numpy integers); a float or a
+    string coordinate, named, or a length other than d raises ValueError."""
+    try:
+        vec = tuple(map(index, x))
+    except TypeError:
+        bad = next((c for c in x if not hasattr(type(c), "__index__")), x)
+        raise ValueError(f"vector coordinates must be integers, got {bad!r}") from None
+    if len(vec) != d:
+        raise ValueError(f"vector length {len(vec)} does not match d={d}")
+    return vec
 
 
 def to_mask(vertices: Iterable[int]) -> int:

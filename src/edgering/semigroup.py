@@ -16,11 +16,11 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, ge, index, mul, sub
+from operator import add, ge, mul, sub
 
 import numpy as np
 
-from .cycles import exceptional_pairs, is_cycle_of
+from .cycles import ExceptionalPair, exceptional_pairs, is_cycle_of
 from .facets import Facet, facets, generators_on_facet, regular_vertex_components
 from .graph import (
     Edge,
@@ -29,6 +29,7 @@ from .graph import (
     bipartition,
     bits,
     contains_odd_cycle,
+    integer_vector,
     is_connected,
     mask_components,
     mask_neighbors,
@@ -37,6 +38,7 @@ from .graph import (
 )
 
 Vector = tuple[int, ...]
+DEGREE_BOUND = 16  # default bound on the coordinate sum of gap elements
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,7 @@ def _require_full(g: Graph) -> int:
 
 
 def _check_vector(g: Graph, x) -> Vector:
-    d = _require_full(g)
-    try:
-        vec = tuple(map(index, x))  # int, bool and numpy integers; not 0.5 or '1'
-    except TypeError:
-        bad = next((c for c in x if not hasattr(type(c), "__index__")), x)
-        raise ValueError(f"vector coordinates must be integers, got {bad!r}") from None
-    if len(vec) != d:
-        raise ValueError(f"vector length {len(vec)} does not match d={d}")
-    return vec
+    return integer_vector(x, _require_full(g))
 
 
 def rho(g: Graph, e: Edge) -> Vector:
@@ -402,11 +396,11 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
 
 def normalization_generators(g: Graph) -> list[Vector]:
     """The vectors E_C + E_C' over exceptional pairs (C, C'), deduplicated
-    and sorted; empty iff the odd cycle condition holds.  The pairs come
-    from the cached ``exceptional_pairs(g)``."""
+    and sorted; empty iff the odd cycle condition holds.  The pairs are
+    ``cone(g).pairs``, so the gap stage reuses the scan of ``classify``."""
     d = _require_full(g)
     out: set[Vector] = set()
-    for c1, c2 in exceptional_pairs(g):
+    for c1, c2 in cone(g).pairs:
         mem = set(c1) | set(c2)
         out.add(tuple(1 if v in mem else 0 for v in range(1, d + 1)))
     return sorted(out)
@@ -447,27 +441,39 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[d
 
 
 class Cone:
-    """The per-graph data that ``serre.classify`` reads, each member built
-    on first use; ``cone(g)`` keeps only the last graph's object.
-
-    ``parity``: (v, v - 1, 0-based index tuples of the components of G
-    minus v) per regular vertex v, ascending: exactly the validated vertex
-    facets.  Lemma: x_v = 0 is a facet for regular v.  Proof.  Its
-    on-facet edges are those of G minus v, v isolated; each component K
-    has an odd cycle, so its edge lattice has rank |K| by the lemma of
-    ``in_lattice``, and the ranks add up to d - 1.  ``validated``: the
-    validated facets of ``facets(g)``.  ``engine``: the shared
-    ``_EdgeSumSearch(g)``, with no table.  ``quotient(f)`` and ``table(f,
-    bound)``: the data of ``serre.in_SF_bounded``, built once per facet.
+    """The only store of data derived from a graph outside the ``Graph``
+    itself, each member built on first use; ``cone(g)`` keeps only the last
+    graph's object.  ``pairs``: ``exceptional_pairs(g)``, one scan for the
+    cycles, HK and gap stages.  ``components(v)``: ``regular_vertex_
+    components(g, v)``, per vertex when first asked (``serre.hk_not_s2``
+    stops at the first vertex that splits a pair).  ``parity``: (v, v - 1,
+    0-based index tuples of the components of G minus v) per regular
+    vertex v, ascending: exactly the validated vertex facets.  Lemma: x_v
+    = 0 is a facet for regular v.  Proof.  Its on-facet edges are those of
+    G minus v, v isolated; each component K has an odd cycle, so its edge
+    lattice has rank |K| by the lemma of ``in_lattice``, and the ranks add
+    up to d - 1.  ``validated``: the validated facets of ``facets(g)``.
+    ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
+    ``quotient(f)`` and ``table(f, bound)``: the data of ``serre.in_SF_
+    bounded``, built once per facet.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._built: dict = {}  # f -> quotient, (f, bound) -> table
+        self._built: dict = {}  # v -> components, f -> quotient, (f, bound) -> table
+
+    @cached_property
+    def pairs(self) -> tuple[ExceptionalPair, ...]:
+        return exceptional_pairs(self.graph)
+
+    def components(self, v: int) -> tuple[tuple[int, ...], ...] | None:
+        if v not in self._built:
+            self._built[v] = regular_vertex_components(self.graph, v)
+        return self._built[v]
 
     @cached_property
     def parity(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
-        rows = ((v, regular_vertex_components(self.graph, v)) for v in self.graph.vertices)
+        rows = ((v, self.components(v)) for v in self.graph.vertices)
         return tuple((v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in comps))
                      for v, comps in rows if comps is not None)
 
@@ -656,7 +662,7 @@ def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
     return sorted(gap, key=lambda v: (sum(v), v))
 
 
-def gap_elements(g: Graph, degree_bound: int = 16) -> list[Vector]:
+def gap_elements(g: Graph, degree_bound: int = DEGREE_BOUND) -> list[Vector]:
     """All members of Sbar minus S with coordinate sum <= degree_bound,
     by the one route, ``_gap_formula``.
 

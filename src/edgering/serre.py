@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import add
 
-from .cycles import ExceptionalPair, exceptional_pairs
-from .facets import VERTEX_KIND, Facet, fundamental_sets, regular_vertex_components
+from .cycles import ExceptionalPair
+from .facets import VERTEX_KIND, Facet, fundamental_sets
 from .graph import (
     Edge,
     Graph,
@@ -33,6 +33,7 @@ from .graph import (
     to_mask,
 )
 from .semigroup import (
+    DEGREE_BOUND,
     MembershipWitness,
     Vector,
     _check_vector,
@@ -50,6 +51,7 @@ VERDICT_UNKNOWN = "Unknown"
 YES = "yes"
 NO_CERTIFIED = "no_certified"
 NO_UP_TO_BOUND = "no_up_to_bound"
+SEARCH_BOUND = 12  # default degree bound of the localization search for y
 
 
 @dataclass(frozen=True)
@@ -256,12 +258,12 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
 
-    The components come from ``regular_vertex_components``, cached per
-    (graph, vertex), so a repeated call costs O(d).  ``classify`` calls
-    it only for the first v that the same test, ``Cone.certifying``, finds.
+    The components are ``cone(g).components(v)``, so a repeated call costs
+    O(d); a v outside G or not regular raises ValueError.  ``classify``
+    calls it only for the first v that the same test, ``Cone.certifying``, finds.
     """
     vec = _check_vector(g, alpha)
-    comps = regular_vertex_components(g, v)
+    comps = cone(g).components(v)
     if comps is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
@@ -272,7 +274,7 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     return None
 
 
-def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = 12) -> BoundedMembership:
+def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = SEARCH_BOUND) -> BoundedMembership:
     """Bounded test of alpha's membership in the localization at facet f.
 
     Tries the exact parity certificate first (vertex facets only), then
@@ -317,27 +319,27 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     (2) for every fundamental set T whose closed neighborhood misses the
         pair, both cycles stay in one component after removing it.
 
-    Returns the first passing pair in canonical order, or None.  The
-    pairs come from the cached ``exceptional_pairs(g)``.
+    Returns the first passing pair in canonical order, or None.  Reads
+    the pairs and each G minus v off ``cone(g)``, as far as the scan gets.
     """
-    pairs = exceptional_pairs(g)
-    if not pairs:
+    c = cone(g)
+    if not c.pairs:
         return None
     closed_sets = []
     for t in fundamental_sets(g):
         tmask = to_mask(t)
         closed_sets.append((tuple(sorted(t)), tmask | mask_neighbors(g, tmask)))
-    for pair in pairs:
+    for pair in c.pairs:
         pv = to_mask(pair.first + pair.second)
         checked_vertices: list[int] = []
         ok = True
         for v in g.vertices:
             if pv >> v & 1:
                 continue
-            comps = regular_vertex_components(g, v)
+            comps = c.components(v)
             if comps is None:
                 continue
-            c1 = next(c for c in comps if pair.first[0] in c)
+            c1 = next(k for k in comps if pair.first[0] in k)
             if pair.second[0] not in c1:
                 ok = False
                 break
@@ -349,7 +351,7 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
             if closed & pv:
                 continue
             rest = mask_components(g, g.vertex_mask & ~closed)
-            c1 = next(c for c, _ in rest if c >> pair.first[0] & 1)
+            c1 = next(k for k, _ in rest if k >> pair.first[0] & 1)
             if not c1 >> pair.second[0] & 1:
                 ok = False
                 break
@@ -359,7 +361,7 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     return None
 
 
-def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> ClassificationReport:
+def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEARCH_BOUND) -> ClassificationReport:
     """Full normality / depth classification of the edge ring of g.
 
     Verdicts: Normal when no exceptional pair exists; NonNormalNotS2 on a
@@ -401,8 +403,9 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
             **kw,
         )
 
+    c = cone(g)
     t0 = time.perf_counter()
-    pairs = exceptional_pairs(g)
+    pairs = c.pairs
     timings["cycles"] = (time.perf_counter() - t0) * 1000.0
     if not pairs:
         return _report(verdict=VERDICT_NORMAL, exhaustive=True)
@@ -421,7 +424,6 @@ def classify(g: Graph, degree_bound: int = 16, search_bound: int = 12) -> Classi
         return _report(verdict=VERDICT_UNKNOWN)
 
     t0 = time.perf_counter()
-    c = cone(g)
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
     for alpha in gap:

@@ -477,19 +477,17 @@ def edge_sum_levels_reference(d: int, edges, max_degree: int) -> list[set[tuple[
     return levels
 
 
-def vertex_certificate_reference(g: Graph, alpha):
-    """The first exclusion certificate over the validated vertex facets,
-    in facet order, from one ``vertex_parity_certificate`` call per facet;
-    None when no vertex facet certifies alpha."""
+def vertex_certificates_reference(g: Graph, alphas) -> list:
+    """Per alpha, the first exclusion certificate over the validated vertex
+    facets, in facet order, from one ``vertex_parity_certificate`` call per
+    facet; None when no vertex facet certifies alpha.  The facets are
+    computed once for all of ``alphas``."""
     from edgering.facets import VERTEX_KIND, facets
     from edgering.serre import vertex_parity_certificate
 
-    for f in facets(g):
-        if f.validated and f.kind == VERTEX_KIND:
-            cert = vertex_parity_certificate(g, f.vertices[0], alpha)
-            if cert is not None:
-                return cert
-    return None
+    vertices = [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
+    return [next(filter(None, (vertex_parity_certificate(g, v, alpha) for v in vertices)), None)
+            for alpha in alphas]
 
 
 # -- set-based references for the bitmask graph kernel -------------------

@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import importlib
 import json
 import random
 import re
+import weakref
 from collections import defaultdict
 from operator import add, mul
 
@@ -21,7 +24,14 @@ from edgering.facets import (
     is_regular_vertex,
     regular_vertex_components,
 )
-from edgering.families import add_cross_edges, family_graph, graph_for_theorem, theorem_edge_range
+from edgering.families import (
+    add_cross_edges,
+    build_gab,
+    family_graph,
+    graph_for_theorem,
+    in_set_A,
+    theorem_edge_range,
+)
 from edgering.graph import Graph, UnsupportedGraphError, bits, connected_components, delete_vertex, to_mask
 from edgering.semigroup import cone, gap_elements, in_cone, in_lattice, in_S
 from edgering.serre import (
@@ -140,7 +150,10 @@ def test_hk_witness_same_in_classify(g34):
 def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
     """One classify call runs the odd-cycle scan once, on a graph that
     reaches the gap stage and on one refuted by HK: the HK check and the
-    pair vectors read the cached exceptional pairs."""
+    pair vectors read ``cone(g).pairs``.  On the d = 8, n = 13 theorem
+    graph it also builds each G minus v at most once and never enumerates
+    the facets: HK, the parity rows and the certificates share
+    ``Cone.components``, and every gap element is certified."""
     scans = []
     real = cycles.minimal_odd_cycles
 
@@ -150,13 +163,35 @@ def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
 
     monkeypatch.setattr(cycles, "minimal_odd_cycles", counting)
     for g, refuted in [(g33.graph, False), (add_cross_edges(g34, [(1, 5)]), True)]:
-        cycles.exceptional_pairs.cache_clear()
+        cone.cache_clear()
         scans.clear()
         rep = classify(g)
         assert (rep.hk_witness is not None) == refuted
         assert bool(rep.gap) != refuted
         assert scans == [g]
-        assert isinstance(cycles.exceptional_pairs(g), tuple)
+        assert isinstance(cone(g).pairs, tuple)
+
+    facets_module = importlib.import_module("edgering.facets")
+    deleted, enumerated = [], []
+    real_delete, real_facets = facets_module.delete_vertex, semigroup.facets
+    monkeypatch.setattr(facets_module, "delete_vertex", lambda g, v: deleted.append(v) or real_delete(g, v))
+    monkeypatch.setattr(semigroup, "facets", lambda g: enumerated.append(g) or real_facets(g))
+    g = graph_for_theorem(8, 13).graph
+    cone.cache_clear()
+    assert classify(g).verdict == VERDICT_S2_VERIFIED
+    assert deleted and len(deleted) == len(set(deleted)) and not enumerated
+
+
+def test_classify_keeps_one_graph(g33):
+    """Nothing in the library holds a classified graph once another graph
+    has been classified: ``cone`` keeps only the last graph's data."""
+    g = localization_graph()
+    classify(g, degree_bound=8, search_bound=8)
+    ref = weakref.ref(g)
+    classify(g33.graph)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_hk_none_cases(g33):
@@ -242,8 +277,8 @@ def test_theorem_certificates_unchanged(d):
         g = graph_for_theorem(d, n).graph
         rep = classify(g)
         assert rep.exhaustive and len(rep.certificates) == rep.gap_count
+        assert list(rep.certificates) == helpers.vertex_certificates_reference(g, rep.gap)
         for cert, alpha in zip(rep.certificates, rep.gap):
-            assert cert == helpers.vertex_certificate_reference(g, alpha)
             fresh = connected_components(delete_vertex(g, cert.vertex))
             odd = next(c for c in fresh if sum(alpha[u - 1] for u in c) % 2 == 1)
             assert cert.component == tuple(sorted(odd))
@@ -255,7 +290,7 @@ def _certificates_match_reference(g, degree_bound, search_bound):
     returns the reference answer per examined element."""
     rep = classify(g, degree_bound, search_bound)
     stop = len(rep.gap) if rep.s_prime_candidate is None else rep.gap.index(rep.s_prime_candidate) + 1
-    reference = [helpers.vertex_certificate_reference(g, alpha) for alpha in rep.gap[:stop]]
+    reference = helpers.vertex_certificates_reference(g, rep.gap[:stop])
     assert list(rep.certificates) == [c for c in reference if c is not None]
     return reference
 
@@ -576,12 +611,13 @@ def test_cone_parity_is_the_vertex_facets(g, data):
     in_cone,
     lambda g, x: in_localization(g, vertex_facet(g, 4), x),
     lambda g, x: vertex_parity_certificate(g, 4, x),
-], ids=["in_S", "in_lattice", "in_cone", "in_localization", "vertex_parity_certificate"])
+    lambda g, x: in_set_A(build_gab(3, 3), x),
+], ids=["in_S", "in_lattice", "in_cone", "in_localization", "vertex_parity_certificate", "in_set_A"])
 def test_vectors_need_integer_coordinates(g33, call):
     """A float or a string coordinate is rejected, naming it, instead of
     being truncated or parsed; numpy integers are integers."""
     g = g33.graph
-    for bad in (0.5, "1"):
+    for bad in (0.5, 1.5, "1"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             call(g, (1, bad, 1, 0, 1, 1, 1))
     assert call(g, tuple(np.int64(v) for v in ALPHA)) == call(g, ALPHA)
