@@ -74,15 +74,16 @@ def _emit(text: str, output: str | None) -> None:
 # -- sweeps ------------------------------------------------------------
 
 
-def _map(job, work: list, jobs: int, chunksize: int) -> list:
+def _map(job, work: list, jobs: int) -> list:
     """``job`` over ``work`` in input order: serially at ``jobs`` = 1, with
-    no pool, else in a pool of ``jobs`` processes."""
+    no pool, else in a pool of ``jobs`` processes, four chunks each: few
+    tasks keep the pool's per-task cost low, yet uneven items balance."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         return [job(w) for w in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(job, work, chunksize=chunksize))
+        return list(pool.map(job, work, chunksize=max(1, len(work) // (4 * jobs))))
 
 
 def _tsv_cell(value) -> str:
@@ -139,7 +140,7 @@ def theorem_results(
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
-    return _map(_theorem_job, [(d, n, degree_bound, search_bound) for n in n_values], jobs, 1)
+    return _map(_theorem_job, [(d, n, degree_bound, search_bound) for n in n_values], jobs)
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -193,7 +194,7 @@ def _cmd_additions(args) -> int:
     return _sweep(
         args,
         f"additions ({args.a},{args.b}) max_extra={max_extra}",
-        lambda: _map(_addition_job, work, args.jobs, 8),
+        lambda: _map(_addition_job, work, args.jobs),
         {VERDICT_NORMAL, VERDICT_NOT_S2},
         {"command": "additions", "a": args.a, "b": args.b, "max_extra": max_extra},
         "all_rows_expected",

@@ -5,9 +5,10 @@ hyperplanes come in two shapes: coordinate hyperplanes x_v = 0 at
 regular vertices, and hyperplanes sum_{T} x = sum_{N(T)} x attached to
 fundamental independent sets T.  A candidate is a genuine facet exactly
 when its on-hyperplane edge vectors span a rank d-1 sublattice; we keep
-every candidate but flag the validated ones, and the rank comes from
-fraction-free Gaussian elimination (``integer_rank``).  Cone membership
-does not read the facets; ``semigroup.in_cone`` decides it by a flow.
+every candidate but flag the validated ones, and the rank is the closed
+form of ``lattice_rank``: d minus the bipartite components of the
+on-facet graph.  Cone membership does not read the facets;
+``semigroup.in_cone`` decides it by a flow.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from .graph import (
     Graph,
     UnsupportedGraphError,
     VertexSet,
-    bipartition,
     bits,
-    contains_odd_cycle,
     delete_vertex,
-    is_connected,
     mask_components,
     mask_neighbors,
     neighborhood,
-    rho_vector,
 )
 
 VERTEX_KIND = "vertex"
@@ -63,7 +60,7 @@ def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] |
     """
     rest = delete_vertex(g, v)  # rejects a v outside G, as a bare mask would not
     comps = mask_components(rest, rest.vertex_mask)
-    if not all(odd for _, odd in comps):
+    if any(even is not None for _, even in comps):
         return None
     return tuple(tuple(bits(comp)) for comp, _ in comps)
 
@@ -117,7 +114,7 @@ def fundamental_sets(g: Graph) -> list[VertexSet]:
         if reach != tmask:
             continue
         rest = mask_components(g, g.vertex_mask & ~(tmask | nmask))
-        if all(odd for _, odd in rest):
+        if all(even is None for _, even in rest):
             out.append(frozenset(bits(tmask)))
     return sorted(out, key=lambda t: (len(t), sorted(t)))
 
@@ -138,7 +135,10 @@ def _on_facet_edges(g: Graph, normal: tuple[int, ...]) -> list[Edge]:
 def integer_rank(rows: Sequence[Sequence[int]], dim: int | None = None) -> int:
     """Rank over Q of integer row vectors, by fraction-free (Bareiss)
     Gaussian elimination: every entry below the pivot rows is a minor of
-    the input, so the division by the previous pivot is exact."""
+    the input, so the division by the previous pivot is exact.  Only the
+    tests call it, as the reference for ``lattice_rank``; it stays here as
+    the benchmark's tracer wraps it by name, until ROADMAP item 5 moves it
+    to ``tests/helpers.py``."""
     mat = [list(row) for row in rows]
     if dim is None:
         if not mat:
@@ -161,12 +161,26 @@ def integer_rank(rows: Sequence[Sequence[int]], dim: int | None = None) -> int:
     return rank
 
 
+def lattice_rank(h: Graph) -> int:
+    """Rank of the edge lattice of h, by the lemma of ``_facet_from_normal``."""
+    return h.n_vertices - sum(even is not None for _, even in mask_components(h, h.vertex_mask))
+
+
 def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tuple[int, ...]) -> Facet:
-    d = g.n_vertices
-    on_facet = _on_facet_edges(g, normal)
-    rows = [rho_vector(d, e) for e in on_facet]
-    validated = bool(rows) and integer_rank(rows, d) == d - 1
-    return Facet(kind, verts, normal, tuple(on_facet), validated)
+    """The candidate, validated when its on-facet edges on all d vertices,
+    a graph H, have ``lattice_rank`` d - 1.
+
+    Lemma.  rank L(H) is d minus the number of bipartite components of H,
+    an isolated vertex counted as bipartite.  Proof.  Each edge lies in
+    one component K, so L(H) is the direct sum of the L(K).  By the lemma
+    of ``semigroup.in_lattice``, L(K) is the even-sum sublattice of Z^K,
+    rank |K|, when K has an odd cycle, and the hyperplane x(A) = x(B),
+    rank |K| - 1, when K is bipartite with sides A and B; an isolated v
+    is that case with A = {v}, B empty, and L(K) = 0.
+    """
+    on_facet = tuple(_on_facet_edges(g, normal))
+    validated = lattice_rank(Graph(g.vertices, on_facet)) == g.n_vertices - 1
+    return Facet(kind, verts, normal, on_facet, validated)
 
 
 def facets(g: Graph) -> tuple[Facet, ...]:
@@ -178,9 +192,10 @@ def facets(g: Graph) -> tuple[Facet, ...]:
     """
     if not g.is_contiguous:
         raise ValueError("facet computation needs labels exactly 1..d")
-    if not is_connected(g):
+    comps = mask_components(g, g.vertex_mask)
+    if len(comps) != 1:
         raise UnsupportedGraphError("edge cone facet structure needs a connected graph")
-    if not contains_odd_cycle(g):
+    if comps[0][1] is not None:
         raise UnsupportedGraphError("edge cone facet structure needs at least one odd cycle")
     d = g.n_vertices
     out: list[Facet] = []
@@ -211,11 +226,10 @@ def generators_on_facet(g: Graph, f: Facet) -> list[Edge]:
 
 def cone_dimension(g: Graph) -> int:
     """Rank of the edge vectors of a connected graph: d - 1 when it is
-    bipartite, d otherwise.  It is the rank of the edge lattice, which
-    the lemma of ``semigroup.in_lattice`` gives as the hyperplane x(A) =
-    x(B) for sides A and B, else the index-2 sublattice sum(x) even."""
+    bipartite, d otherwise, by the lemma of ``_facet_from_normal``."""
     if not g.is_contiguous:
         raise ValueError("cone dimension needs labels exactly 1..d")
-    if not is_connected(g):
+    comps = mask_components(g, g.vertex_mask)
+    if len(comps) != 1:
         raise UnsupportedGraphError("cone dimension needs a connected graph")
-    return g.n_vertices - (bipartition(g) is not None)
+    return g.n_vertices - (comps[0][1] is not None)

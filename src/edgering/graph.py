@@ -27,7 +27,10 @@ class UnsupportedGraphError(ValueError):
 
 
 def _as_edge(pair) -> Edge:
-    seq = tuple(pair)
+    try:
+        seq = tuple(map(index, pair))
+    except TypeError:  # again one at a time, to name the bad endpoint
+        seq = tuple(as_integer(v, "edge endpoint") for v in pair)
     if len(seq) == 1:
         # a set literal like {1, 1} collapses to one element
         i = j = seq[0]
@@ -76,10 +79,11 @@ class Graph:
     def from_edge_list(cls, d: int, pairs: Iterable) -> "Graph":
         """Build a graph on vertex labels 1..d from unordered vertex pairs.
 
-        Rejects labels outside 1..d, self-loops and duplicate edges.
-        Connectivity is not required here; operations that need it check
-        for themselves.
+        Rejects a non-integer d or label (``as_integer``), labels outside
+        1..d, self-loops and duplicate edges.  Connectivity is not required
+        here; operations that need it check for themselves.
         """
+        d = as_integer(d, "vertex count")
         if d < 1:
             raise ValueError(f"vertex count must be positive, got {d}")
         edges = []
@@ -184,14 +188,22 @@ def neighborhood(g: Graph, t: Iterable[int]) -> VertexSet:
     return frozenset(out)
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int (int, bool, numpy integers); a float or a
+    string raises ValueError naming ``name`` and ``value``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def integer_vector(x, d: int) -> tuple[int, ...]:
-    """x as a tuple of d ints (int, bool, numpy integers); a float or a
-    string coordinate, named, or a length other than d raises ValueError."""
+    """x as a tuple of d ints, each coordinate as by ``as_integer``; a
+    length other than d raises ValueError."""
     try:
         vec = tuple(map(index, x))
-    except TypeError:
-        bad = next((c for c in x if not hasattr(type(c), "__index__")), x)
-        raise ValueError(f"vector coordinates must be integers, got {bad!r}") from None
+    except TypeError:  # again coordinate by coordinate, to name the bad one
+        vec = tuple(as_integer(c, "vector coordinate") for c in x)
     if len(vec) != d:
         raise ValueError(f"vector length {len(vec)} does not match d={d}")
     return vec
@@ -235,10 +247,12 @@ def mask_neighbors(g: Graph, mask: int) -> int:
     return out
 
 
-def mask_components(g: Graph, allowed: int) -> list[tuple[int, bool]]:
+def mask_components(g: Graph, allowed: int) -> list[tuple[int, int | None]]:
     """Components of the subgraph induced on the labels in the bitmask
-    ``allowed``, as (vertex mask, has an odd cycle) pairs ordered by
-    smallest member.  Bits that are not vertex labels must be clear.
+    ``allowed``, as (vertex mask, colour class) pairs ordered by smallest
+    member.  The colour class is the mask of the even BFS layers, the
+    side holding the smallest member, or None when the component has an
+    odd cycle.  Bits that are not vertex labels must be clear.
 
     A layered BFS from the smallest unreached vertex.  Lemma: a connected
     graph has an odd cycle exactly when some edge joins two vertices of
@@ -249,14 +263,16 @@ def mask_components(g: Graph, allowed: int) -> list[tuple[int, bool]]:
     out = []
     while allowed:
         comp = layer = allowed & -allowed
-        odd = False
+        sides, depth, odd = [layer, 0], 0, False
         while layer:
             reach = mask_neighbors(g, layer) & allowed
             odd = odd or bool(reach & layer)
             layer = reach & ~comp
             comp |= layer
+            depth ^= 1
+            sides[depth] |= layer
         allowed &= ~comp
-        out.append((comp, odd))
+        out.append((comp, None if odd else sides[0]))
     return out
 
 
@@ -273,28 +289,18 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """The two color classes of a connected graph, or None if an odd
     cycle exists.  The class containing the smallest vertex comes first.
     """
-    if not is_connected(g):
+    comps = mask_components(g, g.vertex_mask)
+    if len(comps) != 1:
         raise ValueError("bipartition needs a connected graph")
-    adj = g.adjacency
-    color = {g.vertices[0]: 0}
-    stack = [g.vertices[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return None
-    first = frozenset(v for v in g.vertices if color[v] == 0)
-    return (first, g.vertex_set - first)
+    comp, even = comps[0]
+    return None if even is None else (frozenset(bits(even)), frozenset(bits(comp & ~even)))
 
 
 def contains_odd_cycle(g: Graph, subset: Iterable[int] | None = None) -> bool:
     """True when the induced subgraph on ``subset`` (default: all of G)
     is not 2-colorable, i.e. contains an odd cycle."""
     h = g if subset is None else induced_subgraph(g, subset)
-    return any(odd for _, odd in mask_components(h, h.vertex_mask))
+    return any(even is None for _, even in mask_components(h, h.vertex_mask))
 
 
 def induced_bipartite_graph(g: Graph, t: Iterable[int]) -> Graph:
@@ -319,7 +325,7 @@ def induced_bipartite_graph(g: Graph, t: Iterable[int]) -> Graph:
 
 # -- text format -------------------------------------------------------
 #
-#   c <free text>          comment, ignored
+#   c <free text>          comment (first field exactly c), ignored
 #   p <d> <m>              exactly one header: d vertices, m edges
 #   e <i> <j>              1-based endpoints, m lines
 
@@ -330,9 +336,9 @@ def parse_graph(text: str) -> Graph:
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
         fields = line.split()
+        if not fields or fields[0] == "c":
+            continue
         if fields[0] == "p":
             if d is not None:
                 raise GraphFormatError(f"line {lineno}: second 'p' header")

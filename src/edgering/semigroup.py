@@ -26,13 +26,12 @@ from .graph import (
     Edge,
     Graph,
     UnsupportedGraphError,
-    bipartition,
+    as_integer,
     bits,
     contains_odd_cycle,
     integer_vector,
     is_connected,
     mask_components,
-    mask_neighbors,
     rho_vector,
     to_mask,
 )
@@ -227,28 +226,45 @@ def in_lattice(g: Graph, x) -> bool:
     cycle makes some u-w walk even for all u, w, so x reduces to
     sum(x) e_u, and 2 e_u = rho(uw) + (e_u - e_w) for a neighbour w.
     (Grossman, Kulkarni and Schochetman, Linear Algebra Appl. 218, 1995.)
+    The sides are read off ``cone(g).lattice``, built once per graph.
     """
     vec = _check_vector(g, x)
-    comps = mask_components(g, g.vertex_mask)
-    if len(comps) != 1:
+    groups = cone(g).lattice
+    if len(groups) != 1:
         raise UnsupportedGraphError("lattice membership implemented for connected graphs")
-    if comps[0][1]:
-        return sum(vec) % 2 == 0
-    first, second = bipartition(g)
-    return sum(vec[v - 1] for v in first) == sum(vec[v - 1] for v in second)
+    return not any(_lattice_class(groups, vec))
+
+
+def _lattice_groups(h: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Coordinates of Z^d / L(h), h on labels 1..d, by the lemma of
+    ``in_lattice`` per component K: 0-based (A, B, 0) when K is bipartite
+    with sides A and B (A = K for an isolated vertex), (K, (), 2) when K
+    has an odd cycle."""
+    out = []
+    for comp, even in mask_components(h, h.vertex_mask):
+        plus, minus, mod = (comp, 0, 2) if even is None else (even, comp & ~even, 0)
+        out.append((tuple(v - 1 for v in bits(plus)), tuple(v - 1 for v in bits(minus)), mod))
+    return tuple(out)
+
+
+def _lattice_class(groups, x: Vector) -> tuple[int, ...]:
+    """The class of x in Z^d / L(h), zero iff x is in L(h), for ``groups``
+    = ``_lattice_groups(h)``."""
+    out = []
+    for plus, minus, mod in groups:
+        val = sum(x[i] for i in plus) - sum(x[i] for i in minus)
+        out.append(val % mod if mod else val)
+    return tuple(out)
 
 
 class _FacetQuotient:
     """The quotient Z^d / L(H_F) at one facet F, H_F its on-facet edges
     on all d vertices, and the classes that sums of off-facet edges reach.
 
-    One coordinate per component K of H_F, by the closed form of
-    ``in_lattice`` per component: x(A) - x(B) when K is bipartite with
-    sides A and B (for an isolated vertex, its own coordinate), x(K) mod
-    2 when K has an odd cycle.  ``levels[k]`` maps each class that
-    off-facet edges of total ell-weight k reach to a back-pointer (class
-    at ell-weight k - ell(rho(e)), e), None at k = 0; it grows on demand,
-    up to the largest ell-weight asked.
+    One coordinate per component of H_F, by ``_lattice_groups(H_F)``.
+    ``levels[k]`` maps each class that off-facet edges of total ell-weight
+    k reach to a back-pointer (class at ell-weight k - ell(rho(e)), e),
+    None at k = 0; it grows on demand, up to the largest ell-weight asked.
     """
 
     __slots__ = ("graph", "normal", "groups", "mods", "steps", "levels")
@@ -256,19 +272,7 @@ class _FacetQuotient:
     def __init__(self, g: Graph, f: Facet):
         self.graph = h = Graph(g.vertices, tuple(generators_on_facet(g, f)))
         self.normal = f.normal
-        groups = []
-        for comp, odd in mask_components(h, h.vertex_mask):
-            if odd:
-                groups.append((tuple(v - 1 for v in bits(comp)), (), 2))
-                continue
-            # BFS layers alternate between the two sides of a bipartite K
-            sides, layer, depth = [0, 0], comp & -comp, 0
-            while layer:
-                sides[depth % 2] |= layer
-                layer = mask_neighbors(h, layer) & comp & ~(sides[0] | sides[1])
-                depth += 1
-            groups.append((tuple(v - 1 for v in bits(sides[0])), tuple(v - 1 for v in bits(sides[1])), 0))
-        self.groups = tuple(groups)
+        self.groups = groups = _lattice_groups(h)
         self.mods = tuple(mod for _, _, mod in groups)
         on_facet = set(h.edges)
         steps: dict[tuple[int, tuple[int, ...]], Edge] = {}  # one edge per (ell-weight, image)
@@ -285,11 +289,7 @@ class _FacetQuotient:
 
     def image(self, x: Vector) -> tuple[int, ...]:
         """q(x), the class of x in Z^d / L(H_F)."""
-        out = []
-        for plus, minus, mod in self.groups:
-            val = sum(x[i] for i in plus) - sum(x[i] for i in minus)
-            out.append(val % mod if mod else val)
-        return tuple(out)
+        return _lattice_class(self.groups, x)
 
     def reaches(self, cls: tuple[int, ...], weight: int) -> bool:
         """Whether off-facet edges of total ell-weight ``weight`` reach the
@@ -448,11 +448,10 @@ class Cone:
     components(g, v)``, per vertex when first asked (``serre.hk_not_s2``
     stops at the first vertex that splits a pair).  ``parity``: (v, v - 1,
     0-based index tuples of the components of G minus v) per regular
-    vertex v, ascending: exactly the validated vertex facets.  Lemma: x_v
-    = 0 is a facet for regular v.  Proof.  Its on-facet edges are those of
-    G minus v, v isolated; each component K has an odd cycle, so its edge
-    lattice has rank |K| by the lemma of ``in_lattice``, and the ranks add
-    up to d - 1.  ``validated``: the validated facets of ``facets(g)``.
+    vertex v, ascending: exactly the validated vertex facets, by the lemma
+    of ``facets._facet_from_normal``, as v is the one bipartite component
+    of the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
+    ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
     ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
     ``quotient(f)`` and ``table(f, bound)``: the data of ``serre.in_SF_
     bounded``, built once per facet.
@@ -476,6 +475,10 @@ class Cone:
         rows = ((v, self.components(v)) for v in self.graph.vertices)
         return tuple((v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in comps))
                      for v, comps in rows if comps is not None)
+
+    @cached_property
+    def lattice(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+        return _lattice_groups(self.graph)
 
     @cached_property
     def validated(self) -> tuple[Facet, ...]:
@@ -678,6 +681,7 @@ def gap_elements(g: Graph, degree_bound: int = DEGREE_BOUND) -> list[Vector]:
         raise UnsupportedGraphError("gap enumeration needs a connected graph")
     if not contains_odd_cycle(g):
         raise UnsupportedGraphError("gap enumeration needs at least one odd cycle")
+    degree_bound = as_integer(degree_bound, "degree bound")
     if degree_bound <= 0 or degree_bound % 2 == 1:
         raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
     return _gap_formula(g, degree_bound)

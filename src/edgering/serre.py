@@ -25,6 +25,7 @@ from .graph import (
     Edge,
     Graph,
     UnsupportedGraphError,
+    as_integer,
     contains_odd_cycle,
     is_connected,
     mask_components,
@@ -155,12 +156,13 @@ class ClassificationReport:
 def _lattice_coefficients(h: Graph, x: list[int]) -> Counter:
     """Integer z with sum z_e rho(e) = x over the edges of h, for x in the
     edge lattice of h, by the constructive proof of ``semigroup.
-    in_lattice`` per component: peel the leaves of a BFS tree into their
-    tree edges; the root keeps 0 (bipartite) or an even residual r, which
-    is r/2 times the alternating sum round an odd closed walk.  Consumes
-    x: it ends all zero."""
+    in_lattice`` per component: peeling the leaves of a BFS tree into
+    their tree edges leaves r = sum (-1)^depth(v) x_v at the root, 0 on a
+    bipartite component.  With an odd cycle, r is even (as sum(x) is) and
+    an edge ab joins depths of one parity; c = (-1)^depth(a) r/2 on ab,
+    taken first, zeroes r.  Consumes x: it ends all zero."""
     z: Counter = Counter()
-    for comp, _ in mask_components(h, h.vertex_mask):
+    for comp, even in mask_components(h, h.vertex_mask):
         root = (comp & -comp).bit_length() - 1
         parent, depth, order = {root: root}, {root: 0}, [root]
         for u in order:
@@ -168,25 +170,17 @@ def _lattice_coefficients(h: Graph, x: list[int]) -> Counter:
                 if w not in parent:
                     parent[w], depth[w] = u, depth[u] + 1
                     order.append(w)
+        if even is None:
+            a, b = next((a, b) for a, b in h.edges if a in depth and (depth[a] - depth[b]) % 2 == 0)
+            c = sum((-1) ** depth[u] * x[u - 1] for u in order) // 2 * (-1) ** depth[a]
+            z[a, b] += c
+            x[a - 1] -= c
+            x[b - 1] -= c
         for u in reversed(order[1:]):
             p = parent[u]
             z[min(u, p), max(u, p)] += x[u - 1]
             x[p - 1] -= x[u - 1]
             x[u - 1] = 0
-        if x[root - 1]:
-
-            def to_root(u: int) -> list[int]:
-                path = [u]
-                while path[-1] != root:
-                    path.append(parent[path[-1]])
-                return path
-
-            # an edge inside one BFS layer parity closes an odd walk root..a, b..root
-            a, b = next((a, b) for a, b in h.edges if a in depth and (depth[a] - depth[b]) % 2 == 0)
-            walk = to_root(a)[::-1] + to_root(b)
-            for i, (u, w) in enumerate(zip(walk, walk[1:])):
-                z[min(u, w), max(u, w)] += (-1) ** i * (x[root - 1] // 2)
-            x[root - 1] = 0
     return z
 
 
@@ -215,7 +209,7 @@ def in_localization(g: Graph, f: Facet, alpha) -> LocalizationMembership:
     Decision.  L(H_F) is the direct sum of the lattices of the components
     of H_F, so by the lemma of ``semigroup.in_lattice`` per component, x
     is in L(H_F) iff its class q(x) in Z^d / L(H_F) is zero (coordinates
-    in ``semigroup._FacetQuotient``).  q is additive, so the question is
+    in ``semigroup._lattice_groups``).  q is additive, so the question is
     whether q(alpha) is a sum of images q(rho(e)) of off-facet edges of
     total ell-weight ell(alpha): a reachability search over ell-weights
     0..ell(alpha).  At a vertex facet x_v = 0 this is closed form: the
@@ -290,6 +284,7 @@ def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = SEARCH_BOUND) -
     ``table(f, search_bound)``, each built once while g's cone is kept.
     """
     vec = _check_vector(g, alpha)
+    search_bound = as_integer(search_bound, "search bound")
     if search_bound < 0:
         raise ValueError("search bound must be nonnegative")
     if not in_lattice(g, vec):
@@ -380,11 +375,13 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
         A ClassificationReport; serialize with ``to_json_dict``.
 
     Raises:
-        ValueError: a bound is out of range, checked before any stage.
+        ValueError: a bound is not an integer or out of range, checked before any stage.
         UnsupportedGraphError: g is disconnected or bipartite.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
+    degree_bound = as_integer(degree_bound, "degree bound")
+    search_bound = as_integer(search_bound, "search bound")
     if degree_bound <= 0 or degree_bound % 2 == 1:
         raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
     if search_bound < 0:

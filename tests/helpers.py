@@ -519,7 +519,9 @@ def connected_components_reference(g: Graph) -> list[frozenset[int]]:
     return sorted(comps, key=min)
 
 
-def _two_colorable(g: Graph, comp) -> bool:
+def colour_class_reference(g: Graph, comp) -> frozenset[int] | None:
+    """The colour class of min(comp) in a depth-first 2-colouring of the
+    component ``comp``, or None when it has no 2-colouring."""
     adj = g.adjacency
     start = min(comp)
     color = {start: 0}
@@ -531,8 +533,8 @@ def _two_colorable(g: Graph, comp) -> bool:
                 color[w] = 1 - color[u]
                 stack.append(w)
             elif color[w] == color[u]:
-                return False
-    return True
+                return None
+    return frozenset(v for v, c in color.items() if c == 0)
 
 
 def contains_odd_cycle_reference(g: Graph, subset=None) -> bool:
@@ -540,7 +542,7 @@ def contains_odd_cycle_reference(g: Graph, subset=None) -> bool:
     from edgering.graph import induced_subgraph
 
     h = g if subset is None else induced_subgraph(g, subset)
-    return not all(_two_colorable(h, c) for c in connected_components_reference(h))
+    return any(colour_class_reference(h, c) is None for c in connected_components_reference(h))
 
 
 def regular_vertex_components_reference(g: Graph, v: int):

@@ -75,14 +75,15 @@ any_graph = st.one_of(graphs(), addition_graphs(), with_exceptional_pair(), with
 @SLOW
 @given(derived_graphs(), st.data())
 def test_mask_components_match_reference(g, data):
+    """Components, and each one's colour class (the side of its smallest
+    vertex) or None for an odd cycle, against a depth-first 2-colouring."""
     subset = data.draw(st.sets(st.sampled_from(g.vertices)))
     want = []
     if subset:
         h = induced_subgraph(g, subset)
-        want = [
-            (to_mask(c), helpers.contains_odd_cycle_reference(h, c))
-            for c in helpers.connected_components_reference(h)
-        ]
+        for c in helpers.connected_components_reference(h):
+            side = helpers.colour_class_reference(h, c)
+            want.append((to_mask(c), None if side is None else to_mask(side)))
     assert mask_components(g, to_mask(subset)) == want
     assert bits(to_mask(subset)) == sorted(subset)
 

@@ -16,6 +16,9 @@ GOLDEN_D9_TSV = Path(__file__).parent / "golden" / "verify_theorem_d9.tsv"
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 # additions --a 3 --b 4 --max-extra 2 --format tsv
 ADDITIONS_34_TSV_SHA256 = "8493f5b6872415c41f95e182a9298289b8fb0f4a16795d24b0790a0db2e9dbbe"
+# the benchmark's recorded localization pool: 60 graphs, each with the
+# SHA-256 of its `analyze --degree-bound 8 --search-bound 8` report; read only
+POOL_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def run_cli(*args, cwd=None):
@@ -248,3 +251,19 @@ def test_analyze_theorem_graph_report_bytes(tmp_path):
                    "--input", path, "--output", str(out))
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == D8_N13_REPORT_SHA256
+
+
+def test_localization_pool_reports_at_8_8(tmp_path, capsys):
+    """Every pool graph's `analyze` report at bounds 8/8, byte for byte as
+    the benchmark recorded it.  No vertex certifies these graphs' gaps, so
+    the reports rest on the validated facets and the exact localization
+    test."""
+    pool = json.loads(POOL_FILE.read_text(encoding="utf-8"))["localization_search"]["pool"]
+    assert len(pool) == 60
+    path, out = tmp_path / "pool.graph", tmp_path / "report.json"
+    for i, entry in enumerate(pool):
+        path.write_text(entry["graph"])
+        rc = cli.main(["analyze", "--degree-bound", "8", "--search-bound", "8",
+                       "--input", str(path), "--output", str(out)])
+        assert rc == 0, (i, capsys.readouterr().err)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["report_sha256"], i

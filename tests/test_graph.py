@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 import helpers
@@ -162,6 +164,33 @@ def test_format_round_trip(g33):
     again = parse_graph(text)
     assert again == g33.graph
     assert write_graph(again) == write_graph(g33.graph)
+
+
+def test_endpoints_are_coerced_to_int():
+    """Endpoints and d go through operator.index: True and numpy integers
+    become int, and the graph survives a write/parse round trip."""
+    g = Graph.from_edge_list(np.int64(3), [(True, 2), (np.int64(2), 3), (1, np.int32(3))])
+    assert g.edges == ((1, 2), (1, 3), (2, 3))
+    assert all(type(v) is int for e in g.edges for v in e) and g.vertices == (1, 2, 3)
+    assert parse_graph(write_graph(g)) == g
+    assert write_graph(g).splitlines()[1] == "e 1 2"
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, "1"])
+def test_non_integer_endpoints_rejected(bad):
+    with pytest.raises(ValueError, match=re.escape(f"edge endpoint must be an integer, got {bad!r}")):
+        Graph.from_edge_list(3, [(bad, 2), (2, 3)])
+    with pytest.raises(ValueError, match=re.escape(f"vertex count must be an integer, got {bad!r}")):
+        Graph.from_edge_list(bad, [])
+
+
+def test_comment_is_a_first_field_of_exactly_c():
+    g = parse_graph("c\nc text\n  c indented\np 2 1\ne 1 2\n")
+    assert g.edges == ((1, 2),)
+    with pytest.raises(GraphFormatError, match="line 2: unknown record 'cx'"):
+        parse_graph("p 2 1\ncx 1 2\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match="line 1: unknown record 'corrupt'"):
+        parse_graph("corrupt line here\np 2 1\ne 1 2\n")
 
 
 def test_parse_errors():

@@ -1,9 +1,15 @@
+"""Edge lattice rank: the closed form ``facets.lattice_rank`` that
+validates facets, and the Bareiss ``facets.integer_rank`` kept as its
+reference, both against the extended-gcd lattice basis in ``helpers``."""
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edgering.facets import integer_rank
+from edgering.facets import integer_rank, lattice_rank
+from edgering.graph import Graph, rho_vector
+from test_bitmask import graphs
 
 
 @st.composite
@@ -40,3 +46,13 @@ def test_integer_rank_edge_cases():
         integer_rank([])
     with pytest.raises(ValueError, match="dimension"):
         integer_rank([[1, 0], [1, 0, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())  # any edge set on d <= 9 labels: isolated vertices, odd and bipartite parts
+@example(Graph.from_edge_list(1, []))
+@example(Graph.from_edge_list(4, [(1, 2), (1, 3), (2, 3)]))  # a triangle and an isolated vertex
+@example(Graph.from_edge_list(5, [(1, 2), (3, 4), (4, 5), (3, 5)]))  # an edge and a triangle
+def test_lattice_rank_matches_gcd_oracle(h):
+    d = h.n_vertices
+    assert lattice_rank(h) == helpers.lattice_of(d, [rho_vector(d, e) for e in h.edges]).rank

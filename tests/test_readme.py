@@ -1,9 +1,13 @@
-"""The README "Library" example runs and gives the results its comments
-state."""
+"""The README "Library" example and the first two "Examples" commands
+run and give the results their comments state."""
 
 import ast
+import json
 import re
+import shlex
 from pathlib import Path
+
+from edgering import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +38,21 @@ def test_readme_library_block():
     assert values["er.in_sbar(g, alpha), er.in_S(g, alpha)"] == (True, None)
     assert values["er.in_S(g, tuple(2 * x for x in alpha))"].total_edges() == 6
     assert values["report.verdict, report.gap_count, report.exhaustive"] == ("NonNormalS2Verified", 462, True)
+
+
+def test_readme_family_and_analyze_examples(tmp_path, monkeypatch, capsys):
+    """`family --d 7 --n 8 --output g.graph`, then `analyze --input g.graph`,
+    run through ``cli.main`` in a temporary directory; the report's verdict and
+    gap count are the ones the README's comment states."""
+    match = re.search(r"^### Examples\n\n```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert match, "README has no sh block under ### Examples"
+    family, analyze = match.group(1).splitlines()[:2]
+    command, comment = analyze.split("#")
+    assert shlex.split(family)[:5] == ["edgering", "family", "--d", "7", "--n"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(family)[1:]) == 0
+    capsys.readouterr()
+    assert cli.main(shlex.split(command)[1:]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert comment.strip() == "NonNormalS2Verified, 462 gap elements"
+    assert f"{report['verdict']}, {report['gap_count']} gap elements" == comment.strip()

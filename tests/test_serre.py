@@ -241,6 +241,23 @@ def test_classify_unknown_when_bound_too_small():
     assert rep.gap == () and rep.gap_computed
 
 
+def test_bounds_must_be_integers(g33):
+    """A float or string bound is rejected, naming the bound, at each entry
+    point, instead of reaching the search; numpy integers are integers."""
+    g = g33.graph
+    for call, name in [
+        (lambda: classify(g, 8, 8.5), "search bound"),
+        (lambda: classify(g, 8.0), "degree bound"),
+        (lambda: classify(g, "8"), "degree bound"),
+        (lambda: gap_elements(g, 8.0), "degree bound"),
+        (lambda: in_SF_bounded(g, vertex_facet(g, 1), ALPHA, 2.5), "search bound"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+    rep = classify(g, np.int64(8), np.int64(4))
+    assert type(rep.search_bound) is int and rep.to_json_dict() == classify(g, 8, 4).to_json_dict()
+
+
 def test_classify_rejects_unsupported():
     with pytest.raises(UnsupportedGraphError):
         classify(helpers.cycle_graph(6))
