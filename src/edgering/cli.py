@@ -26,6 +26,7 @@ from .families import (
     FamilyGraph,
     add_cross_edges,
     build_gab,
+    cross_edge_orbits,
     cross_pairs,
     family_graph,
     graph_for_theorem,
@@ -168,16 +169,37 @@ def _cmd_verify_theorem(args) -> int:
 # -- additions ---------------------------------------------------------
 
 
-def _addition_job(args: tuple[FamilyGraph, tuple, int, int]) -> dict:
+def _addition_job(args: tuple[FamilyGraph, tuple, int, int]) -> tuple[str, bool]:
     fam, subset, degree_bound, search_bound = args
-    graph = add_cross_edges(fam, subset)
-    report = classify(graph, degree_bound=degree_bound, search_bound=search_bound)
-    return {
-        "extra_edges": [list(e) for e in subset],
-        "edges": graph.n_edges,
-        "verdict": report.verdict,
-        "exhaustive": report.exhaustive,
-    }
+    report = classify(add_cross_edges(fam, subset), degree_bound=degree_bound, search_bound=search_bound)
+    return report.verdict, report.exhaustive
+
+
+def addition_rows(
+    fam: FamilyGraph,
+    max_extra: int,
+    degree_bound: int = DEGREE_BOUND,
+    search_bound: int = SEARCH_BOUND,
+    jobs: int = 1,
+) -> list[dict]:
+    """One row per cross-edge subset of the full member ``fam`` with 1..
+    ``max_extra`` edges, in ``itertools.combinations`` order.  Only each
+    orbit's representative (``cross_edge_orbits``) is classified; its
+    verdict and exhaustive flag hold for the whole orbit."""
+    subsets = [s for size in range(1, max_extra + 1) for s in itertools.combinations(cross_pairs(fam), size)]
+    reps = cross_edge_orbits(fam, max_extra)
+    firsts = [x for x, r in enumerate(reps) if r == x]
+    work = [(fam, subsets[x], degree_bound, search_bound) for x in firsts]
+    decided = dict(zip(firsts, _map(_addition_job, work, jobs)))
+    return [
+        {
+            "extra_edges": [list(e) for e in subset],
+            "edges": fam.graph.n_edges + len(subset),
+            "verdict": decided[r][0],
+            "exhaustive": decided[r][1],
+        }
+        for subset, r in zip(subsets, reps)
+    ]
 
 
 def _cmd_additions(args) -> int:
@@ -186,15 +208,10 @@ def _cmd_additions(args) -> int:
     max_extra = args.max_extra if args.max_extra is not None else len(pairs)
     if not (1 <= max_extra <= len(pairs)):
         raise ValueError(f"--max-extra must be in 1..{len(pairs)}")
-    work = [
-        (fam, subset, args.degree_bound, args.search_bound)
-        for size in range(1, max_extra + 1)
-        for subset in itertools.combinations(pairs, size)
-    ]
     return _sweep(
         args,
         f"additions ({args.a},{args.b}) max_extra={max_extra}",
-        lambda: _map(_addition_job, work, args.jobs),
+        lambda: addition_rows(fam, max_extra, args.degree_bound, args.search_bound, args.jobs),
         {VERDICT_NORMAL, VERDICT_NOT_S2},
         {"command": "additions", "a": args.a, "b": args.b, "max_extra": max_extra},
         "all_rows_expected",

@@ -9,9 +9,10 @@ u_i -> i, hub w -> a + 1, v_j -> a + 1 + j.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, integer_vector
+from .graph import Edge, Graph, as_integer, integer_vector
 
 # sanity bound matching the rest of the package; schedules stay small
 _MAX_SIDE = 32
@@ -65,11 +66,14 @@ class RemovalSchedule:
         return len(self.u_phase) + len(self.v_phase)
 
 
-def _check_ab(a: int, b: int) -> None:
+def _check_ab(a: int, b: int) -> tuple[int, int]:
+    """(a, b) as ints (``as_integer``), checked against 3 <= a <= b <= 32."""
+    a, b = as_integer(a, "side size a"), as_integer(b, "side size b")
     if not (3 <= a <= b):
         raise ValueError(f"family needs 3 <= a <= b, got a={a}, b={b}")
     if b > _MAX_SIDE:
         raise ValueError(f"side size {b} beyond supported range")
+    return a, b
 
 
 def max_family_edges(a: int, b: int) -> int:
@@ -78,7 +82,7 @@ def max_family_edges(a: int, b: int) -> int:
 
 def build_gab(a: int, b: int) -> FamilyGraph:
     """The full two-clique family member for 3 <= a <= b."""
-    _check_ab(a, b)
+    a, b = _check_ab(a, b)
     d = a + b + 1
     labels = {f"u{i}": i for i in range(1, a + 1)}
     labels["w"] = a + 1
@@ -117,7 +121,7 @@ def removal_schedule(a: int, b: int) -> RemovalSchedule:
     v-side.  Edges u_i u_a are never removed, so each side stays
     connected through its last vertex.
     """
-    _check_ab(a, b)
+    a, b = _check_ab(a, b)
     fam = build_gab(a, b)
     u_phase = _phase(fam.w, list(fam.u_side))
     v_phase = _phase(fam.w, list(fam.v_side))
@@ -131,7 +135,8 @@ def removal_schedule(a: int, b: int) -> RemovalSchedule:
 def family_graph(a: int, b: int, n: int) -> FamilyGraph:
     """The family member with exactly n edges: the full graph minus the
     first (max - n) scheduled removals.  Valid for d+1 <= n <= max."""
-    _check_ab(a, b)
+    a, b = _check_ab(a, b)
+    n = as_integer(n, "edge count n")
     d = a + b + 1
     full = max_family_edges(a, b)
     if not (d + 1 <= n <= full):
@@ -150,6 +155,7 @@ def max_theorem_edges(d: int) -> int:
 
 def theorem_edge_range(d: int) -> range:
     """Valid edge counts for the main construction at dimension d."""
+    d = as_integer(d, "dimension d")
     if d < 7:
         raise ValueError(f"main construction needs d >= 7, got {d}")
     return range(d + 1, max_theorem_edges(d) + 1)
@@ -158,6 +164,7 @@ def theorem_edge_range(d: int) -> range:
 def graph_for_theorem(d: int, n: int) -> FamilyGraph:
     """The (a, b) = (3, d-4) family member with n edges; this realizes
     every edge count in [d+1, (d^2-7d+24)/2]."""
+    d, n = as_integer(d, "dimension d"), as_integer(n, "edge count n")
     valid = theorem_edge_range(d)
     if n not in valid:
         raise ValueError(
@@ -195,6 +202,74 @@ def add_cross_edges(fam: FamilyGraph, extra) -> Graph:
 def cross_pairs(fam: FamilyGraph) -> list[Edge]:
     """All a*b possible cross edges, sorted."""
     return sorted(_edge(i, j) for i in fam.u_side for j in fam.v_side)
+
+
+def cross_edge_generators(fam: FamilyGraph) -> list[dict[int, int]]:
+    """Generators of Sym(u-side) x Sym(v-side), and of the side swap
+    u_i <-> v_i when a = b, as maps of every vertex: the adjacent
+    transpositions of each side, then the swap.  Each fixes the hub."""
+    fixed = {v: v for v in fam.graph.vertices}
+    gens = [
+        {**fixed, side[i]: side[i + 1], side[i + 1]: side[i]}
+        for side in (fam.u_side, fam.v_side)
+        for i in range(len(side) - 1)
+    ]
+    if fam.a == fam.b:
+        gens.append({**fixed, **dict(zip(fam.u_side + fam.v_side, fam.v_side + fam.u_side))})
+    return gens
+
+
+def cross_edge_orbits(fam: FamilyGraph, max_extra: int) -> list[int]:
+    """For the cross-edge subsets S in ``itertools.combinations(
+    cross_pairs(fam), k)`` order, k = 1..max_extra, the index of each
+    subset's orbit representative: the lowest index in its orbit under the
+    group of ``cross_edge_generators``.  The orbits are the connected
+    components of the graph joining each subset to its image under each
+    generator, so no canonical form is needed.
+
+    Lemma: ``verdict`` and ``exhaustive`` of ``classify`` are the same
+    for every S of one orbit.  Each generator s is an automorphism of the
+    full member G that maps cross pairs to cross pairs, so s is an
+    isomorphism G + S -> G + s(S), acting on Z^d by permuting coordinates;
+    it keeps degrees, cycles, facets and vertex neighbourhoods.  Stage by
+    stage, with the bounds fixed:
+      - Normal iff no exceptional pair, a property of the isomorphism
+        class.
+      - ``hk_not_s2`` returns a witness iff some pair of cycles passes a
+        combinatorial criterion, so s maps a witness to a witness.
+      - The gap elements up to the degree bound are permuted by s, not
+        changed; an empty gap (Unknown) stays empty.
+      - A vertex-parity certificate exists for alpha at v iff one exists
+        for s(alpha) at s(v).
+      - The y-search of ``in_SF_bounded`` is bounded by degree, so a YES
+        for (F, alpha) is a YES for (s(F), s(alpha)).
+      - NotS2 iff some uncertified alpha has a YES at every validated
+        facet; S2Verified with ``exhaustive`` iff every alpha is certified.
+        Each is existential or universal over sets that s permutes.
+      - Every G + S is connected with a triangle and has the same d, so
+        no orbit member raises ``UnsupportedGraphError`` unless all do.
+    """
+    if fam.graph.n_edges != max_family_edges(fam.a, fam.b):
+        raise ValueError("cross edge orbits are only taken on the full family graph")
+    pairs = cross_pairs(fam)
+    position = {e: p for p, e in enumerate(pairs)}
+    moves = [tuple(position[_edge(s[i], s[j])] for i, j in pairs) for s in cross_edge_generators(fam)]
+    subsets = [t for k in range(1, max_extra + 1) for t in itertools.combinations(range(len(pairs)), k)]
+    index = {t: x for x, t in enumerate(subsets)}
+    rep = [-1] * len(subsets)
+    for x in range(len(subsets)):
+        if rep[x] >= 0:
+            continue
+        rep[x] = x
+        stack = [x]
+        while stack:
+            t = subsets[stack.pop()]
+            for move in moves:
+                y = index[tuple(sorted(move[p] for p in t))]
+                if rep[y] < 0:
+                    rep[y] = x
+                    stack.append(y)
+    return rep
 
 
 def in_set_A(fam: FamilyGraph, x) -> bool:

@@ -636,3 +636,32 @@ def hk_not_s2_reference(g: Graph):
             else:
                 return (first, second), tuple(checked_vertices), tuple(checked_sets)
     return None
+
+
+def addition_rows_reference(fam, max_extra: int, degree_bound: int, search_bound: int) -> list[dict]:
+    """The ``additions`` rows by the per-subset route: every cross-edge
+    subset of 1..max_extra edges built by ``add_cross_edges`` and decided
+    by ``classify`` on its own, with no orbit merge."""
+    from edgering.families import add_cross_edges, cross_pairs
+    from edgering.serre import classify
+
+    rows = []
+    for size in range(1, max_extra + 1):
+        for subset in itertools.combinations(cross_pairs(fam), size):
+            graph = add_cross_edges(fam, subset)
+            report = classify(graph, degree_bound=degree_bound, search_bound=search_bound)
+            rows.append({
+                "extra_edges": [list(e) for e in subset],
+                "edges": graph.n_edges,
+                "verdict": report.verdict,
+                "exhaustive": report.exhaustive,
+            })
+    return rows
+
+
+def is_automorphism(g: Graph, perm: dict[int, int]) -> bool:
+    """Whether the vertex map ``perm`` is a bijection of g's vertices that
+    maps the edge set onto itself."""
+    if sorted(perm) != list(g.vertices) or sorted(perm.values()) != list(g.vertices):
+        return False
+    return {tuple(sorted((perm[i], perm[j]))) for i, j in g.edges} == set(g.edges)

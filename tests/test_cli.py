@@ -8,14 +8,18 @@ import pytest
 
 import helpers
 from edgering import cli
-from edgering.families import graph_for_theorem
+from edgering.families import build_gab, graph_for_theorem
 from edgering.graph import parse_graph, write_graph
+from edgering.semigroup import DEGREE_BOUND
+from edgering.serre import SEARCH_BOUND
 
 GOLDEN_D9_TSV = Path(__file__).parent / "golden" / "verify_theorem_d9.tsv"
 # analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 # additions --a 3 --b 4 --max-extra 2 --format tsv
 ADDITIONS_34_TSV_SHA256 = "8493f5b6872415c41f95e182a9298289b8fb0f4a16795d24b0790a0db2e9dbbe"
+# additions --a 4 --b 4 --max-extra 4 JSON, the benchmark's refutation_additions size
+ADDITIONS_44_JSON_SHA256 = "7b984939c7ce514da685a47cd8851fa1b5fd5b5359f99c47b78e2845d06e02e4"
 # the benchmark's recorded localization pool: 60 graphs, each with the
 # SHA-256 of its `analyze --degree-bound 8 --search-bound 8` report; read only
 POOL_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -172,6 +176,22 @@ def test_additions_tsv_bytes():
     lines = proc.stdout.split("\n")
     assert lines[0] == "extra_edges\tedges\tverdict\texhaustive" and len(lines) == 2 + 12 + 66
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ADDITIONS_34_TSV_SHA256
+
+
+def test_additions_44_json_bytes(tmp_path, capsys):
+    out = tmp_path / "adds.json"
+    rc = cli.main(["additions", "--a", "4", "--b", "4", "--max-extra", "4", "--output", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ADDITIONS_44_JSON_SHA256
+
+
+@pytest.mark.parametrize("a, b, max_extra", [(3, 3, 9), (3, 4, 3), (4, 4, 2)])
+def test_addition_rows_match_per_subset_route(a, b, max_extra):
+    """Classifying one subset per orbit gives every row that classifying
+    each subset on its own gives."""
+    fam = build_gab(a, b)
+    expected = helpers.addition_rows_reference(fam, max_extra, DEGREE_BOUND, SEARCH_BOUND)
+    assert cli.addition_rows(fam, max_extra) == expected
 
 
 def test_additions_single_edges(tmp_path):

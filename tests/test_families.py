@@ -1,11 +1,17 @@
+import math
+
+import numpy as np
 import pytest
 
 import edgering
+import helpers
 from conftest import family_intermediates
 from edgering.cycles import minimal_odd_cycles
 from edgering.families import (
     add_cross_edges,
     build_gab,
+    cross_edge_generators,
+    cross_edge_orbits,
     cross_pairs,
     family_graph,
     graph_for_theorem,
@@ -104,6 +110,23 @@ def test_graph_for_theorem():
         graph_for_theorem(6, 8)
 
 
+def test_family_builders_reject_non_integers():
+    for call, name in (
+        (lambda: build_gab(3.5, 4), "side size a"),
+        (lambda: build_gab(3, "4"), "side size b"),
+        (lambda: removal_schedule(3, 4.0), "side size b"),
+        (lambda: family_graph(3, 4, 12.0), "edge count n"),
+        (lambda: theorem_edge_range(8.0), "dimension d"),
+        (lambda: graph_for_theorem(8.0, 12), "dimension d"),
+        (lambda: graph_for_theorem(8, 12.0), "edge count n"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+    # integer types other than int are taken at their value
+    assert family_graph(np.int64(3), 4, np.int64(12)).graph == family_graph(3, 4, 12).graph
+    assert graph_for_theorem(np.int64(8), 12).graph == graph_for_theorem(8, 12).graph
+
+
 def test_cross_pairs(g33):
     pairs = cross_pairs(g33)
     assert len(pairs) == 9
@@ -121,6 +144,40 @@ def test_add_cross_edges(g33, g34):
         add_cross_edges(g33, [(1, 5), (1, 5)])
     with pytest.raises(ValueError):
         add_cross_edges(family_graph(3, 3, 11), [(1, 5)])  # base not full
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 4), (4, 4), (3, 5)])
+def test_cross_edge_generators_are_automorphisms(a, b):
+    fam = build_gab(a, b)
+    gens = cross_edge_generators(fam)
+    assert len(gens) == (a - 1) + (b - 1) + (a == b)
+    pairs = cross_pairs(fam)
+    for gen in gens:
+        assert helpers.is_automorphism(fam.graph, gen), gen
+        assert gen[fam.w] == fam.w
+        assert sorted(tuple(sorted((gen[i], gen[j]))) for i, j in pairs) == pairs
+
+
+def test_automorphism_check_rejects_a_bad_generator(g33, g34):
+    # the side swap where a != b, and a transposition that moves the hub
+    swap34 = {v: v for v in g34.graph.vertices} | dict(zip(g34.u_side + g34.v_side[:3], g34.v_side[:3] + g34.u_side))
+    hub_move = {v: v for v in g33.graph.vertices} | {g33.w: g33.u(1), g33.u(1): g33.w}
+    assert not helpers.is_automorphism(g34.graph, swap34)
+    assert not helpers.is_automorphism(g33.graph, hub_move)
+
+
+@pytest.mark.parametrize("a, b, max_extra, orbits", [(3, 3, 9, 25), (3, 4, 2, 4), (4, 4, 4, 17), (3, 5, 15, 189)])
+def test_cross_edge_orbit_counts(a, b, max_extra, orbits):
+    reps = cross_edge_orbits(build_gab(a, b), max_extra)
+    assert len(reps) == sum(math.comb(a * b, k) for k in range(1, max_extra + 1))
+    assert len(set(reps)) == orbits
+    # each representative is the lowest index of its orbit
+    assert all(reps[r] == r <= x for x, r in enumerate(reps))
+
+
+def test_cross_edge_orbits_need_the_full_member():
+    with pytest.raises(ValueError, match="full family graph"):
+        cross_edge_orbits(family_graph(3, 3, 11), 1)
 
 
 def test_in_set_A(g33):
