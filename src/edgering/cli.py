@@ -34,7 +34,7 @@ from .families import (
     removal_schedule,
     theorem_edge_range,
 )
-from .graph import GraphFormatError, UnsupportedGraphError, parse_graph, write_graph
+from .graph import Graph, GraphFormatError, UnsupportedGraphError, parse_graph, write_graph
 from .semigroup import DEGREE_BOUND
 from .serre import (
     SEARCH_BOUND,
@@ -75,16 +75,24 @@ def _emit(text: str, output: str | None) -> None:
 # -- sweeps ------------------------------------------------------------
 
 
-def _map(job, work: list, jobs: int) -> list:
-    """``job`` over ``work`` in input order: serially at ``jobs`` = 1, with
-    no pool, else in a pool of ``jobs`` processes, four chunks each: few
-    tasks keep the pool's per-task cost low, yet uneven items balance."""
+def _classify_job(args: tuple[Graph, int, int]) -> ClassificationReport:
+    g, degree_bound, search_bound = args
+    return classify(g, degree_bound=degree_bound, search_bound=search_bound)
+
+
+def _classify_all(graphs: list[Graph], degree_bound: int, search_bound: int, jobs: int) -> list[ClassificationReport]:
+    """``classify`` on each graph, in input order: serially when one worker
+    would do, with no pool, else in a pool of min(``jobs``, len(graphs))
+    processes, as a fork pool starts all its workers at once; four chunks
+    per worker keep the per-task cost low, yet uneven graphs balance."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        return [job(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(job, work, chunksize=max(1, len(work) // (4 * jobs))))
+    work = [(g, degree_bound, search_bound) for g in graphs]
+    workers = min(jobs, len(work))
+    if workers <= 1:
+        return [_classify_job(w) for w in work]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_classify_job, work, chunksize=max(1, len(work) // (4 * workers))))
 
 
 def _tsv_cell(value) -> str:
@@ -118,21 +126,6 @@ def _sweep(args, label: str, rows_of, expected: set[str], header: dict, flag: st
 # -- verify-theorem ----------------------------------------------------
 
 
-def _theorem_job(args: tuple[int, int, int, int]) -> tuple[dict, ClassificationReport]:
-    d, n, degree_bound, search_bound = args
-    fam = graph_for_theorem(d, n)
-    report = classify(fam.graph, degree_bound=degree_bound, search_bound=search_bound)
-    row = {
-        "d": d,
-        "n": n,
-        "edges": fam.graph.n_edges,
-        "verdict": report.verdict,
-        "exhaustive": report.exhaustive,
-        "certificate_count": len(report.certificates),
-    }
-    return row, report
-
-
 def theorem_results(
     d: int,
     n_values: list[int],
@@ -141,7 +134,13 @@ def theorem_results(
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
-    return _map(_theorem_job, [(d, n, degree_bound, search_bound) for n in n_values], jobs)
+    graphs = [graph_for_theorem(d, n).graph for n in n_values]
+    reports = _classify_all(graphs, degree_bound, search_bound, jobs)
+    return [
+        ({"d": d, "n": n, "edges": g.n_edges, "verdict": report.verdict, "exhaustive": report.exhaustive,
+          "certificate_count": len(report.certificates)}, report)
+        for n, g, report in zip(n_values, graphs, reports)
+    ]
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -169,12 +168,6 @@ def _cmd_verify_theorem(args) -> int:
 # -- additions ---------------------------------------------------------
 
 
-def _addition_job(args: tuple[FamilyGraph, tuple, int, int]) -> tuple[str, bool]:
-    fam, subset, degree_bound, search_bound = args
-    report = classify(add_cross_edges(fam, subset), degree_bound=degree_bound, search_bound=search_bound)
-    return report.verdict, report.exhaustive
-
-
 def addition_rows(
     fam: FamilyGraph,
     max_extra: int,
@@ -189,14 +182,14 @@ def addition_rows(
     subsets = [s for size in range(1, max_extra + 1) for s in itertools.combinations(cross_pairs(fam), size)]
     reps = cross_edge_orbits(fam, max_extra)
     firsts = [x for x, r in enumerate(reps) if r == x]
-    work = [(fam, subsets[x], degree_bound, search_bound) for x in firsts]
-    decided = dict(zip(firsts, _map(_addition_job, work, jobs)))
+    graphs = [add_cross_edges(fam, subsets[x]) for x in firsts]
+    decided = dict(zip(firsts, _classify_all(graphs, degree_bound, search_bound, jobs)))
     return [
         {
             "extra_edges": [list(e) for e in subset],
             "edges": fam.graph.n_edges + len(subset),
-            "verdict": decided[r][0],
-            "exhaustive": decided[r][1],
+            "verdict": decided[r].verdict,
+            "exhaustive": decided[r].exhaustive,
         }
         for subset, r in zip(subsets, reps)
     ]
@@ -256,15 +249,14 @@ def _cmd_family(args) -> int:
         raise ValueError("need --d/--n or --a/--b")
     n = fam.graph.n_edges
     removed = removal_schedule(fam.a, fam.b).steps[: max_family_edges(fam.a, fam.b) - n]
-    text = write_graph(fam.graph)
-    _emit(text, args.output)
+    _emit(write_graph(fam.graph), args.output)
     if args.output:
         sidecar = {
             "a": fam.a,
             "b": fam.b,
             "d": fam.graph.n_vertices,
             "n": n,
-            "labels": dict(sorted(fam.labels.items())),
+            "labels": fam.labels,
             "removed_edges": [list(e) for e in removed],
         }
         with open(args.output + ".meta.json", "w", encoding="utf-8") as fh:

@@ -56,7 +56,7 @@ def regular_vertex_components(g: Graph, v: int) -> tuple[tuple[int, ...], ...] |
 
     A vertex is regular when every component of G minus v has an odd
     cycle.  Builds and traverses G minus v on every call;
-    ``semigroup.Cone.components`` keeps the answer per vertex.
+    ``semigroup.Cone.regular`` keeps the answer for every vertex.
     """
     rest = delete_vertex(g, v)  # rejects a v outside G, as a bare mask would not
     comps = mask_components(rest, rest.vertex_mask)

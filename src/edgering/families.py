@@ -20,33 +20,40 @@ _MAX_SIDE = 32
 
 @dataclass(frozen=True, eq=False)
 class FamilyGraph:
-    """A family member together with its role labeling."""
+    """A family member; its role labeling is the module's, read off (a, b)."""
 
     graph: Graph
-    labels: dict[str, int]
     a: int
     b: int
 
-    def label(self, name: str) -> int:
-        return self.labels[name]
-
     @property
     def w(self) -> int:
-        return self.labels["w"]
+        return self.a + 1
 
     def u(self, i: int) -> int:
-        return self.labels[f"u{i}"]
+        i = as_integer(i, "u-side index")
+        if not 1 <= i <= self.a:
+            raise ValueError(f"u-side index {i} outside 1..{self.a}")
+        return i
 
     def v(self, j: int) -> int:
-        return self.labels[f"v{j}"]
+        j = as_integer(j, "v-side index")
+        if not 1 <= j <= self.b:
+            raise ValueError(f"v-side index {j} outside 1..{self.b}")
+        return self.a + 1 + j
 
     @property
     def u_side(self) -> tuple[int, ...]:
-        return tuple(self.u(i) for i in range(1, self.a + 1))
+        return tuple(range(1, self.a + 1))
 
     @property
     def v_side(self) -> tuple[int, ...]:
-        return tuple(self.v(j) for j in range(1, self.b + 1))
+        return tuple(range(self.w + 1, self.w + self.b + 1))
+
+    @property
+    def labels(self) -> dict[str, int]:
+        names = [f"u{i}" for i in range(1, self.a + 1)] + ["w"] + [f"v{j}" for j in range(1, self.b + 1)]
+        return dict(zip(names, range(1, self.a + self.b + 2)))
 
 
 @dataclass(frozen=True)
@@ -84,17 +91,9 @@ def build_gab(a: int, b: int) -> FamilyGraph:
     """The full two-clique family member for 3 <= a <= b."""
     a, b = _check_ab(a, b)
     d = a + b + 1
-    labels = {f"u{i}": i for i in range(1, a + 1)}
-    labels["w"] = a + 1
-    labels.update({f"v{j}": a + 1 + j for j in range(1, b + 1)})
-    u_clique = list(range(1, a + 1)) + [a + 1]
-    v_clique = [a + 1] + list(range(a + 2, d + 1))
-    pairs = []
-    for clique in (u_clique, v_clique):
-        for idx in range(len(clique)):
-            for jdx in range(idx + 1, len(clique)):
-                pairs.append((clique[idx], clique[jdx]))
-    return FamilyGraph(Graph.from_edge_list(d, pairs), labels, a, b)
+    cliques = (range(1, a + 2), range(a + 1, d + 1))  # u-side + hub, hub + v-side
+    pairs = [e for clique in cliques for e in itertools.combinations(clique, 2)]
+    return FamilyGraph(Graph.from_edge_list(d, pairs), a, b)
 
 
 def _phase(hub: int, side: list[int]) -> list[Edge]:
@@ -122,9 +121,8 @@ def removal_schedule(a: int, b: int) -> RemovalSchedule:
     connected through its last vertex.
     """
     a, b = _check_ab(a, b)
-    fam = build_gab(a, b)
-    u_phase = _phase(fam.w, list(fam.u_side))
-    v_phase = _phase(fam.w, list(fam.v_side))
+    u_phase = _phase(a + 1, list(range(1, a + 1)))
+    v_phase = _phase(a + 1, list(range(a + 2, a + b + 2)))
     sched = RemovalSchedule(a, b, tuple(u_phase), tuple(v_phase))
     expected = max_family_edges(a, b) - (a + b + 2)
     if len(sched) != expected:  # pragma: no cover - structural self-check
@@ -146,7 +144,7 @@ def family_graph(a: int, b: int, n: int) -> FamilyGraph:
     fam = build_gab(a, b)
     removed = set(removal_schedule(a, b).steps[: full - n])
     pairs = [e for e in fam.graph.edges if e not in removed]
-    return FamilyGraph(Graph.from_edge_list(d, pairs), dict(fam.labels), a, b)
+    return FamilyGraph(Graph.from_edge_list(d, pairs), a, b)
 
 
 def max_theorem_edges(d: int) -> int:
@@ -181,20 +179,14 @@ def add_cross_edges(fam: FamilyGraph, extra) -> Graph:
     """
     if fam.graph.n_edges != max_family_edges(fam.a, fam.b):
         raise ValueError("cross edges are only added to the full family graph")
-    u_set = set(fam.u_side)
-    v_set = set(fam.v_side)
-    new_edges = list(fam.graph.edges)
-    seen: set[Edge] = set()
+    cross, new_edges = set(cross_pairs(fam)), list(fam.graph.edges)
     for pair in extra:
         i, j = pair
         e = _edge(i, j)
-        if not (
-            (i in u_set and j in v_set) or (i in v_set and j in u_set)
-        ):
+        if e not in cross:
             raise ValueError(f"{pair} is not a u-side/v-side cross pair")
-        if e in seen:
+        if e in new_edges:  # no cross pair is an edge of the full member
             raise ValueError(f"duplicate cross edge {e}")
-        seen.add(e)
         new_edges.append(e)
     return Graph.from_edge_list(fam.graph.n_vertices, new_edges)
 

@@ -444,13 +444,12 @@ class Cone:
     """The only store of data derived from a graph outside the ``Graph``
     itself, each member built on first use; ``cone(g)`` keeps only the last
     graph's object.  ``pairs``: ``exceptional_pairs(g)``, one scan for the
-    cycles, HK and gap stages.  ``components(v)``: ``regular_vertex_
-    components(g, v)``, per vertex when first asked (``serre.hk_not_s2``
-    stops at the first vertex that splits a pair).  ``parity``: (v, v - 1,
-    0-based index tuples of the components of G minus v) per regular
-    vertex v, ascending: exactly the validated vertex facets, by the lemma
-    of ``facets._facet_from_normal``, as v is the one bipartite component
-    of the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
+    cycles, HK and gap stages.  ``regular``: ``regular_vertex_components(g,
+    v)`` per regular vertex v, ascending, the one per-vertex store.
+    ``parity``: (v, v - 1, 0-based index tuples of those components) per
+    entry: exactly the validated vertex facets, by the lemma of
+    ``facets._facet_from_normal``, as v is the one bipartite component of
+    the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
     ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
     ``quotient(f)`` and ``table(f, bound)``: the data of ``serre.in_SF_
@@ -459,22 +458,21 @@ class Cone:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._built: dict = {}  # v -> components, f -> quotient, (f, bound) -> table
+        self._built: dict = {}  # f -> quotient, (f, bound) -> table
 
     @cached_property
     def pairs(self) -> tuple[ExceptionalPair, ...]:
         return exceptional_pairs(self.graph)
 
-    def components(self, v: int) -> tuple[tuple[int, ...], ...] | None:
-        if v not in self._built:
-            self._built[v] = regular_vertex_components(self.graph, v)
-        return self._built[v]
+    @cached_property
+    def regular(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        rows = ((v, regular_vertex_components(self.graph, v)) for v in self.graph.vertices)
+        return {v: comps for v, comps in rows if comps is not None}
 
     @cached_property
     def parity(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
-        rows = ((v, self.components(v)) for v in self.graph.vertices)
         return tuple((v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in comps))
-                     for v, comps in rows if comps is not None)
+                     for v, comps in self.regular.items())
 
     @cached_property
     def lattice(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:

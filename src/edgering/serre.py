@@ -252,12 +252,12 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
 
-    The components are ``cone(g).components(v)``, so a repeated call costs
+    The components are ``cone(g).regular[v]``, so a repeated call costs
     O(d); a v outside G or not regular raises ValueError.  ``classify``
     calls it only for the first v that the same test, ``Cone.certifying``, finds.
     """
     vec = _check_vector(g, alpha)
-    comps = cone(g).components(v)
+    comps = cone(g).regular.get(v)
     if comps is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
@@ -306,16 +306,23 @@ def in_SF_bounded(g: Graph, f: Facet, alpha, search_bound: int = SEARCH_BOUND) -
 
 
 def hk_not_s2(g: Graph) -> HkWitness | None:
-    """Search for an exceptional pair satisfying the sufficient criterion
-    for refuting the depth condition:
+    """Search for an exceptional pair (C, C') satisfying the sufficient
+    criterion for refuting the depth condition:
 
     (1) for every regular vertex off the pair, both cycles stay in one
         component of the vertex-deleted graph; and
     (2) for every fundamental set T whose closed neighborhood misses the
         pair, both cycles stay in one component after removing it.
 
-    Returns the first passing pair in canonical order, or None.  Reads
-    the pairs and each G minus v off ``cone(g)``, as far as the scan gets.
+    Lemma: for m the 0/1 vector of the pair and X a vertex set that both
+    cycles avoid, a component of G minus X has odd m-weight iff it holds
+    exactly one cycle, as each cycle is connected, misses X and is odd.
+    So (1) holds iff C(m) of ``Cone.certifying`` is empty (m_v = 1 on the
+    pair), and (2) iff every component of G minus N[T] is even, built
+    once per T per call.  The lemma proves only this equivalence; that a
+    passing m lies in S' minus S is checked by the exact tests of ``in_S``
+    and ``in_localization``, not proved.  Returns the first passing pair
+    in canonical order, or None.
     """
     c = cone(g)
     if not c.pairs:
@@ -324,35 +331,20 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     for t in fundamental_sets(g):
         tmask = to_mask(t)
         closed_sets.append((tuple(sorted(t)), tmask | mask_neighbors(g, tmask)))
+    rests: dict[int, list[int]] = {}  # N[T] -> component masks of G minus N[T]
     for pair in c.pairs:
         pv = to_mask(pair.first + pair.second)
-        checked_vertices: list[int] = []
-        ok = True
-        for v in g.vertices:
-            if pv >> v & 1:
-                continue
-            comps = c.components(v)
-            if comps is None:
-                continue
-            c1 = next(k for k in comps if pair.first[0] in k)
-            if pair.second[0] not in c1:
-                ok = False
-                break
-            checked_vertices.append(v)
-        if not ok:
+        m = tuple(pv >> v & 1 for v in range(1, g.vertices[-1] + 1))  # by label, as labels may skip
+        if next(c.certifying(m), None) is not None:
             continue
-        checked_sets: list[tuple[int, ...]] = []
-        for t, closed in closed_sets:
-            if closed & pv:
-                continue
-            rest = mask_components(g, g.vertex_mask & ~closed)
-            c1 = next(k for k, _ in rest if k >> pair.first[0] & 1)
-            if not c1 >> pair.second[0] & 1:
-                ok = False
+        avoiding = [(t, closed) for t, closed in closed_sets if not closed & pv]
+        for _, closed in avoiding:
+            if closed not in rests:
+                rests[closed] = [comp for comp, _ in mask_components(g, g.vertex_mask & ~closed)]
+            if any((comp & pv).bit_count() % 2 for comp in rests[closed]):
                 break
-            checked_sets.append(t)
-        if ok:
-            return HkWitness(pair, tuple(checked_vertices), tuple(checked_sets))
+        else:
+            return HkWitness(pair, tuple(v for v in c.regular if not pv >> v & 1), tuple(t for t, _ in avoiding))
     return None
 
 

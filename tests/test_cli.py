@@ -13,7 +13,8 @@ from edgering.graph import parse_graph, write_graph
 from edgering.semigroup import DEGREE_BOUND
 from edgering.serre import SEARCH_BOUND
 
-GOLDEN_D9_TSV = Path(__file__).parent / "golden" / "verify_theorem_d9.tsv"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_D9_TSV = GOLDEN / "verify_theorem_d9.tsv"
 # analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 # additions --a 3 --b 4 --max-extra 2 --format tsv
@@ -100,6 +101,19 @@ def test_family_writes_file_and_sidecar(tmp_path):
     assert meta["d"] == 7 and meta["n"] == 8
     assert meta["labels"]["w"] == 4
     assert [tuple(e) for e in meta["removed_edges"]] == [(1, 4), (2, 4), (4, 5), (4, 6)]
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--d", "7", "--n", "8"], "family_d7_n8"),
+    (["--a", "3", "--b", "4", "--n", "14"], "family_a3_b4_n14"),
+])
+def test_family_outputs_match_golden(tmp_path, args, name):
+    """The graph file and its sidecar, labels and removals included, byte
+    for byte."""
+    out = tmp_path / "fam.graph"
+    assert cli.main(["family", *args, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.graph").read_bytes()
+    assert (tmp_path / "fam.graph.meta.json").read_bytes() == (GOLDEN / f"{name}.graph.meta.json").read_bytes()
 
 
 def test_family_stdout_default(tmp_path):
@@ -238,10 +252,38 @@ def test_theorem_results_rejects_jobs_below_one(monkeypatch):
     def no_work(_):
         raise AssertionError("a graph was classified")
 
-    monkeypatch.setattr(cli, "_theorem_job", no_work)
+    monkeypatch.setattr(cli, "_classify_job", no_work)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             cli.theorem_results(7, [8], jobs=jobs)
+
+
+def test_jobs_start_no_more_workers_than_graphs(monkeypatch):
+    """A pool gets one worker per graph at most, and one graph gets none.
+    The fake pool runs the jobs inline, so no process starts."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            return map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    serial = [row for row, _ in cli.theorem_results(7, list(range(8, 13)))]
+    assert [row for row, _ in cli.theorem_results(7, list(range(8, 13)), jobs=64)] == serial
+    assert started == [5]
+    cli.theorem_results(7, [8], jobs=64)
+    assert started == [5]
+    assert cli.addition_rows(build_gab(3, 4), 2, jobs=64) == cli.addition_rows(build_gab(3, 4), 2)
+    assert started == [5, 4]  # one graph per orbit
 
 
 def test_additions_report_independent_of_jobs():

@@ -38,6 +38,22 @@ def test_build_gab_shape(g33, g34):
     assert g34.v_side == (5, 6, 7, 8)
 
 
+def test_role_labels_follow_a_and_b(g34):
+    """u_i -> i, w -> a + 1, v_j -> a + 1 + j, on every member of a family,
+    and a role index outside its side is an error."""
+    want = {"u1": 1, "u2": 2, "u3": 3, "w": 4, "v1": 5, "v2": 6, "v3": 7, "v4": 8}
+    for fam in (g34, family_graph(3, 4, 9)):
+        assert fam.labels == want
+        assert [fam.u(i) for i in (1, 2, 3)] + [fam.w] + [fam.v(j) for j in (1, 2, 3, 4)] == list(range(1, 9))
+        assert fam.u(np.int64(2)) == 2
+        for i in (0, 4, -1, 2.0):
+            with pytest.raises(ValueError, match="u-side"):
+                fam.u(i)
+        for j in (0, 5):
+            with pytest.raises(ValueError, match="v-side"):
+                fam.v(j)
+
+
 def test_build_gab_validation():
     with pytest.raises(ValueError):
         build_gab(2, 5)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import helpers
 from edgering import cycles, semigroup, serre
+from edgering.cli import addition_rows
 from edgering.facets import (
     FUNDAMENTAL_KIND,
     VERTEX_KIND,
@@ -138,6 +139,16 @@ def test_hk_witness(g34):
     assert hk.same_component_sets == ()
 
 
+def test_hk_witness_with_a_label_gap(g34):
+    """Labels need not be 1..d: the pair vector is indexed by label."""
+    g = add_cross_edges(g34, [(1, 5)])
+    shifted = Graph(tuple(v + 1 for v in g.vertices), tuple((i + 1, j + 1) for i, j in g.edges))
+    hk = hk_not_s2(shifted)
+    assert (hk.pair.first, hk.pair.second) == ((2, 3, 4), (7, 8, 9))
+    assert hk.same_component_vertices == (5, 6)
+    assert hk.same_component_sets == ()
+
+
 def test_hk_witness_same_in_classify(g34):
     """The witness classify reports is the one a standalone call finds."""
     for pair in [(1, 5), (2, 6), (3, 7)]:
@@ -153,7 +164,7 @@ def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
     pair vectors read ``cone(g).pairs``.  On the d = 8, n = 13 theorem
     graph it also builds each G minus v at most once and never enumerates
     the facets: HK, the parity rows and the certificates share
-    ``Cone.components``, and every gap element is certified."""
+    ``Cone.regular``, and every gap element is certified."""
     scans = []
     real = cycles.minimal_odd_cycles
 
@@ -197,6 +208,36 @@ def test_classify_keeps_one_graph(g33):
 def test_hk_none_cases(g33):
     assert hk_not_s2(g33.graph) is None
     assert hk_not_s2(helpers.complete_graph(5)) is None
+
+
+def hk_refuted_graphs():
+    """Every HK-refuted graph of a seeded random draw, then the graph of
+    every NonNormalNotS2 row of ``additions --a 3 --b 4``."""
+    rng = random.Random(11)
+    for _ in range(15000):
+        g = helpers.random_connected_nonbipartite(rng, 6, 9, 0.35)
+        if hk_not_s2(g) is not None:
+            yield g
+    fam = build_gab(3, 4)
+    for row in addition_rows(fam, 12):
+        if row["verdict"] == VERDICT_NOT_S2:
+            yield add_cross_edges(fam, row["extra_edges"])
+
+
+def test_hk_pair_vector_is_in_s_prime_not_s():
+    """The exact tests behind the HK refutation: the 0/1 vector m of the
+    witness pair is not in S (``in_S``) but lies in the localization at
+    every validated facet (``in_localization``), so m is in S' minus S and
+    S' = S, the (S2) criterion, fails."""
+    checked = 0
+    for g in hk_refuted_graphs():
+        pair = hk_not_s2(g).pair
+        m = tuple(int(v in pair.first + pair.second) for v in g.vertices)
+        assert in_S(g, m) is None, (g.edges, m)
+        for f in cone(g).validated:
+            assert in_localization(g, f, m).member, (g.edges, m, f)
+        checked += 1
+    assert checked == 127 + 28  # random graphs, then additions rows
 
 
 def test_classify_normal():
