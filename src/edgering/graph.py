@@ -49,7 +49,8 @@ class Graph:
 
     ``vertices`` is strictly increasing; ``edges`` is strictly increasing
     lexicographically with every pair stored as (min, max).  Structural
-    equality is equality of both tuples.
+    equality is equality of both tuples, and the hash is theirs, computed
+    once per instance: ``semigroup.cone`` hashes the graph at each lookup.
     """
 
     vertices: tuple[int, ...]
@@ -97,6 +98,13 @@ class Graph:
             seen.add(e)
             edges.append(e)
         return cls(tuple(range(1, d + 1)), tuple(sorted(edges)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic accessors ----------------------------------------------
 

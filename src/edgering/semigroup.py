@@ -102,8 +102,9 @@ class _EdgeSumSearch:
     of ``levels[k]``: the table is the whole monoid in those degrees, by
     construction.  The branching above runs only until the degree falls
     into the table.  Without ``levels`` the table is just the zero vector,
-    as in the engine ``Cone.engine`` shares; ``_gap_formula`` builds its
-    own engine over its table, which goes when the call ends.
+    as in the engine ``Cone.engine`` shares; where its proof fails,
+    ``_gap_formula`` builds its own engine over a table, which goes when
+    the call ends.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -453,12 +454,16 @@ class Cone:
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
     ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
     ``quotient(f)`` and ``table(f, bound)``: the data of ``serre.in_SF_
-    bounded``, built once per facet.
+    bounded``, built once per facet.  ``proven``: each gap element alpha
+    that ``_gap_formula`` read off its proof, mapped to the lowest vertex
+    of C(alpha), a fact of alpha alone (the lemmas there), so ``classify``
+    reads it instead of scanning ``certifying``.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self._built: dict = {}  # f -> quotient, (f, bound) -> table
+        self.proven: dict[Vector, int] = {}
 
     @cached_property
     def pairs(self) -> tuple[ExceptionalPair, ...]:
@@ -516,7 +521,7 @@ def cone(g: Graph) -> Cone:
 def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound: int) -> list[Vector]:
     """Step A of ``_gap_formula``: close ``gens`` under adding a generator,
     to degree <= degree_bound, keeping y only when it is neither in S nor
-    in m + S for an m kept before.  ``engine`` holds the edge-sum table."""
+    in m + S for an m kept before, as ``engine`` decides."""
     module: list[Vector] = []
     seen, frontier = set(gens), sorted(gens, key=sum)
     while frontier:
@@ -567,23 +572,38 @@ def _gap_proof(g: Graph, engine: _EdgeSumSearch, module: list[Vector], degree_bo
     return None
 
 
-def _gap_candidates(module: list[Vector], levels: list[dict[Vector, int]], degree_bound: int,
-                    covers: list[int] | None = None) -> set[Vector]:
-    """x + beta for x in M and beta in ``levels[k]``, 2k <= degree_bound -
-    deg(x); given ``covers``, only those with beta zero somewhere on C(x).
-    The level elements are grouped by their stored support mask, so that
-    test runs once per mask."""
-    by_support: list[dict[int, list[Vector]]] = [{} for _ in levels]
-    for groups, level in zip(by_support, levels):
-        for beta, supp in level.items():
-            groups.setdefault(supp, []).append(beta)
+def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound: int) -> dict[Vector, int]:
+    """The gap by the lemma of ``_gap_formula``, each element mapped to the
+    lowest vertex of its C: for each v, ascending, and each x in M with v
+    in C(x) = ``covers``, x + beta over the edge sums beta of G minus v of
+    degree <= b - deg(x) that are positive on C(x) below v.  The levels of
+    G minus v are built once, for every x that uses v."""
+    users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
+    for i, cover in enumerate(covers):
+        for v in bits(cover):
+            users.setdefault(v, []).append(i)
+    found: dict[Vector, int] = {}
+    for v in sorted(users):
+        edges = tuple(e for e in g.edges if v not in e)
+        levels = _edge_sum_levels(g.n_vertices, edges, degree_bound - min(sum(module[i]) for i in users[v]))
+        for i in users[v]:
+            x, below = module[i], covers[i] & ((1 << v) - 1)
+            found.update(
+                (tuple(map(add, x, beta)), v)
+                for k in range((degree_bound - sum(x)) // 2 + 1)
+                for beta, supp in levels[k].items()
+                if supp & below == below
+            )
+    return found
+
+
+def _gap_candidates(module: list[Vector], levels: list[dict[Vector, int]], degree_bound: int) -> set[Vector]:
+    """x + beta for x in M and beta in ``levels[k]``, 2k <= degree_bound - deg(x)."""
     return {
         tuple(map(add, x, beta))
-        for i, x in enumerate(module)
+        for x in module
         for k in range((degree_bound - sum(x)) // 2 + 1)
-        for supp, betas in by_support[k].items()
-        if covers is None or covers[i] & ~supp
-        for beta in betas
+        for beta in levels[k]
     }
 
 
@@ -599,37 +619,61 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     degree <= b is in S or M + S: in alpha = s + gamma_1 + ... + gamma_r
     each partial sum is in S or m + S, by induction, as gamma and each
     m + gamma were kept in M, or found in S or in m' + S.  So x + beta,
-    x in M, beta in ``levels[k]``, 2k <= b - deg(x), covers the gap.
+    x in M, beta in S of degree <= b - deg(x), covers the gap.
     Step B: every C(x), x in M, is nonempty (generators checked first);
     C(x) is read off ``Cone.certifying``, the test ``classify`` runs too.
     Step C (``_covers_in_S``): for x in M, choosing an edge at each
     vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e) is in
     S or of degree > b.
 
-    Lemma.  Under A-C the gap is exactly the x + beta above with beta_v =
-    0 for some v in C(x).  Proof.  If beta_v = 0, x + beta keeps an odd
-    component of G minus v, so it is not in S (``serre.vertex_parity_
-    certificate``).  If beta is positive on C(x), Step C can choose edges
-    of one decomposition of beta, all distinct, so x + beta lies in
+    Lemma 1.  For any x >= 0 and beta in S, C(x + beta) = C(x) minus
+    supp(beta), and at each v in C(x + beta) the first component of G
+    minus v of odd weight is the same for x + beta as for x.  Proof.  If
+    beta_v > 0 then (x + beta)_v > 0.  If beta_v = 0, no edge of a
+    decomposition of beta meets v, so each lies inside one component of
+    G minus v and adds 2 to its weight: every component keeps its parity.
+
+    Lemma 2.  Under A-C the gap is exactly the x + beta above with beta_v
+    = 0 for some v in C(x).  Proof.  If beta_v = 0, x + beta keeps an odd
+    component of G minus v (Lemma 1), so it is not in S (``serre.vertex_
+    parity_certificate``).  If beta is positive on C(x), Step C can choose
+    edges of one decomposition of beta, all distinct, so x + beta lies in
     (x + sum_E rho(e)) + S, inside S by Step C.
 
-    A proven graph thus needs no ``decide`` per candidate; otherwise each
-    candidate is decided against the same table.  S' = S is the (S2)
-    criterion (Trung and Hoa, Trans. AMS 298, 1986).  The engine over the
-    table is this call's own, so the table goes when the call ends.
+    Consequence (``_proven_gap``).  beta in S with beta_v = 0 is exactly
+    an edge sum of G minus v, the semigroup S cap F_v of v's vertex facet.
+    Split Lemma 2 by the lowest v in C(x) where beta vanishes: the gap is
+    the union over x in M and v in C(x) of x + beta, beta an edge sum of G
+    minus v of degree <= b - deg(x), positive on the vertices of C(x)
+    below v.  For one x the pieces are disjoint, and by Lemma 1 the lowest
+    vertex of C(x + beta) is v, whichever x reaches the element; it goes
+    into ``Cone.proven`` for ``classify``.
+
+    Steps A-C decide on the shared table-free ``Cone.engine``.  When the
+    proof fails, the candidates x + beta over all edges of G are decided
+    one by one against a table of edge sums of G, with an engine that is
+    this call's own, so the table goes when the call ends; M is reused
+    when Step A already ran.  S' = S is the (S2) criterion (Trung and
+    Hoa, Trans. AMS 298, 1986).
     """
     gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
         return []
-    provable = all(to_mask(cone(g).certifying(x)) for x in gens)
+    c = cone(g)
+    module = None
+    if all(to_mask(c.certifying(x)) for x in gens):
+        module = _module_generators(c.engine, gens, degree_bound)
+        covers = _gap_proof(g, c.engine, module, degree_bound)
+        if covers is not None:
+            found = _proven_gap(g, module, covers, degree_bound)
+            c.proven.update(found)
+            return sorted(found, key=lambda v: (sum(v), v))
     levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
     engine = _EdgeSumSearch(g, levels)
-    module = _module_generators(engine, gens, degree_bound)
-    covers = _gap_proof(g, engine, module, degree_bound) if provable else None
-    candidates = _gap_candidates(module, levels, degree_bound, covers)
-    if covers is None:
-        candidates = [alpha for alpha in candidates if not engine.decide(alpha)]
-    return sorted(candidates, key=lambda v: (sum(v), v))
+    if module is None:
+        module = _module_generators(engine, gens, degree_bound)
+    gap = [alpha for alpha in _gap_candidates(module, levels, degree_bound) if not engine.decide(alpha)]
+    return sorted(gap, key=lambda v: (sum(v), v))
 
 
 def _nonnegative_vectors(d: int, bound: int) -> list[Vector]:

@@ -254,7 +254,9 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
 
     The components are ``cone(g).regular[v]``, so a repeated call costs
     O(d); a v outside G or not regular raises ValueError.  ``classify``
-    calls it only for the first v that the same test, ``Cone.certifying``, finds.
+    calls it once per gap element, at the lowest vertex of C(alpha): on a
+    proven graph the gap stage hands that vertex over in ``Cone.proven``,
+    else ``classify`` scans ``Cone.certifying``, the same test.
     """
     vec = _check_vector(g, alpha)
     comps = cone(g).regular.get(v)
@@ -416,7 +418,7 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
     for alpha in gap:
-        v = next(c.certifying(alpha), None)  # the lowest vertex of C(alpha)
+        v = c.proven.get(alpha) or next(c.certifying(alpha), None)  # the lowest vertex of C(alpha)
         if v is not None:
             certificates.append(vertex_parity_certificate(g, v, alpha))
             continue

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +48,25 @@ def test_isolated_vertices_allowed():
     assert g.n_vertices == 4
     assert g.degree(3) == 0
     assert not is_connected(g)
+
+
+def test_hash_is_structural_and_survives_pickling():
+    """Equal graphs hash equal, as the hash of (vertices, edges), whether
+    the hash was cached before a graph was pickled or not, and whether it
+    was taken here or in a worker of a two-process pool, as in a sweep
+    with ``--jobs 2``."""
+    graphs = [helpers.random_connected_nonbipartite(random.Random(k), 6, 9) for k in range(6)]
+    fresh = [Graph(g.vertices, g.edges) for g in graphs]
+    for g in graphs[::2]:
+        hash(g)  # half of them travel with a cached hash
+    expected = [hash((g.vertices, g.edges)) for g in graphs]
+    assert [hash(g) for g in fresh] == expected and fresh == graphs
+    assert [hash(pickle.loads(pickle.dumps(g))) for g in graphs] == expected
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(hash, graphs)) == expected
+        back = list(pool.map(copy.copy, fresh))
+    assert back == graphs and [hash(g) for g in back] == expected
+    assert len({g: None for g in graphs + fresh + back}) == len(set(expected))
 
 
 def test_delete_vertex_keeps_labels(g33):

@@ -339,6 +339,18 @@ def _formula_route(g, bound):
     return module, levels, covers
 
 
+def draw_graph(seed, wanted, draws):
+    """(draw number, graph): the first of ``draws`` graphs of
+    ``random_connected_nonbipartite(Random(seed), 6, 9, 0.3)`` with
+    ``wanted(g)``, or (None, None)."""
+    rng = random.Random(seed)
+    for k in range(1, draws + 1):
+        g = helpers.random_connected_nonbipartite(rng, 6, 9, 0.3)
+        if wanted(g):
+            return k, g
+    return None, None
+
+
 def test_table_lookup_matches_plain_search():
     """The gap equals a plain search, with no table and no shared memo,
     over the same candidates M + levels[k], whichever route produced it;
@@ -397,6 +409,31 @@ def test_cover_check_decides_the_route():
     assert all(to_mask(cone(g).certifying(x)) for x in module)
     assert covers is None
     assert gap_elements(g, 10) == _gap_direct(g, 10) != []
+
+
+def test_failed_proof_reuses_the_module(monkeypatch):
+    """The graph above, and the first of 6,000 draws of ``random_connected_
+    nonbipartite(Random(20), 6, 9, 0.3)`` (draw 4,793) whose generators
+    all have a certifying vertex but whose proof fails: the fallback
+    decides the candidates, the gap matches the direct route, M is
+    computed once, and ``Cone.proven`` gets nothing."""
+    from edgering import semigroup
+
+    def fails_with_generators_certified(g):
+        gens = [x for x in normalization_generators(g) if sum(x) <= 10]
+        return gens and all(to_mask(cone(g).certifying(x)) for x in gens) and _formula_route(g, 10)[2] is None
+
+    _, drawn = draw_graph(20, fails_with_generators_certified, 6000)
+    assert drawn is not None, "no graph in 6,000 draws fails the proof with every generator certified"
+    modules = []
+    real = semigroup._module_generators
+    monkeypatch.setattr(semigroup, "_module_generators", lambda *args: modules.append(1) or real(*args))
+    for g, bound in [(Graph.from_edge_list(9, [(1, 3), (1, 7), (1, 8), (2, 3), (2, 4), (3, 4), (5, 6),
+                                                 (5, 8), (5, 9), (6, 7), (8, 9)]), 10), (drawn, 10)]:
+        modules.clear()
+        cone.cache_clear()
+        assert gap_elements(g, bound) == _gap_direct(g, bound) != []
+        assert modules == [1] and cone(g).proven == {}
 
 
 def test_module_generators_beyond_the_pairs():

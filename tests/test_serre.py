@@ -10,7 +10,7 @@ from operator import add, mul
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -34,7 +34,7 @@ from edgering.families import (
     theorem_edge_range,
 )
 from edgering.graph import Graph, UnsupportedGraphError, bits, connected_components, delete_vertex, to_mask
-from edgering.semigroup import cone, gap_elements, in_cone, in_lattice, in_S
+from edgering.semigroup import _gap_direct, cone, gap_elements, in_cone, in_lattice, in_S, normalization_generators
 from edgering.serre import (
     NO_CERTIFIED,
     NO_UP_TO_BOUND,
@@ -50,7 +50,7 @@ from edgering.serre import (
     in_SF_bounded,
     vertex_parity_certificate,
 )
-from test_semigroup import connected_nonbipartite, with_exceptional_pair
+from test_semigroup import _formula_route, connected_nonbipartite, draw_graph, with_exceptional_pair
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
 # SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
@@ -342,6 +342,81 @@ def test_theorem_certificates_unchanged(d):
             assert cert.component == tuple(sorted(odd))
 
 
+def proven_at(bound):
+    """Whether the proof of ``semigroup._gap_formula`` holds for a graph
+    at ``bound``, as a ``draw_graph`` filter."""
+    return lambda g: any(sum(x) <= bound for x in normalization_generators(g)) and _formula_route(g, bound)[2] is not None
+
+
+def multi_vertex_graph():
+    """A proven graph at bound 10 that HK does not refute, with a module
+    generator x where |C(x)| >= 2: draw 1,430 of ``draw_graph(20, ...)``."""
+    def wanted(g):
+        return proven_at(10)(g) and hk_not_s2(g) is None and any(c & (c - 1) for c in _formula_route(g, 10)[2])
+
+    draw, g = draw_graph(20, wanted, 2000)
+    assert draw is not None, "no proven graph with |C(x)| >= 2 in 2,000 draws"
+    return g
+
+
+def check_proven_route(g, degree_bound):
+    """On a proven graph: the gap matches ``Cone.proven``, which maps each
+    element to next(``Cone.certifying``); when HK does not refute g,
+    ``classify`` makes one ``vertex_parity_certificate`` call per gap
+    element at that vertex, and each certificate is the per-element
+    route's.  The cone is dropped first, so ``Cone.proven`` holds this
+    call's gap alone.  Returns the gap."""
+    cone.cache_clear()
+    if hk_not_s2(g) is not None:
+        gap, calls = gap_elements(g, degree_bound), None
+    else:
+        calls = []
+        real = serre.vertex_parity_certificate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serre, "vertex_parity_certificate", lambda g, v, alpha: calls.append((v, alpha)) or real(g, v, alpha))
+            rep = classify(g, degree_bound)
+        gap = list(rep.gap)
+        assert rep.exhaustive and list(rep.certificates) == helpers.vertex_certificates_reference(g, gap)
+    c = cone(g)
+    lowest = [next(c.certifying(alpha)) for alpha in gap]
+    assert gap and [c.proven[alpha] for alpha in gap] == lowest
+    assert calls is None or calls == list(zip(lowest, gap))
+    return gap
+
+
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_proven_route_on_theorem_graphs(d):
+    """Every theorem graph for d = 7..9 at the default bound hands
+    ``classify`` the lowest certifying vertex of each gap element; at a
+    bound where the direct route is cheap the gap is still proven and
+    equals ``_gap_direct``."""
+    direct_bound = {7: 12, 8: 10, 9: 8}[d]
+    for n in theorem_edge_range(d):
+        g = graph_for_theorem(d, n).graph
+        check_proven_route(g, 16)
+        assert check_proven_route(g, direct_bound) == _gap_direct(g, direct_bound), (d, n)
+
+
+def test_proven_route_with_two_certifying_vertices():
+    """Where |C(x)| >= 2, each gap element is recorded at the lowest
+    vertex of its C, and some element has two certifying vertices."""
+    g = multi_vertex_graph()
+    gap = check_proven_route(g, 10)
+    assert gap == _gap_direct(g, 10)
+    assert any(to_mask(cone(g).certifying(alpha)) & (to_mask(cone(g).certifying(alpha)) - 1) for alpha in gap)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32))
+def test_proven_route_on_random_graphs(seed):
+    """The first proven graph at bound 10 among 3,000 draws of
+    ``draw_graph(seed, ...)``, about one draw in 170: the gap equals
+    ``_gap_direct`` and the vertices reach ``classify`` as above."""
+    _, g = draw_graph(seed, proven_at(10), 3000)
+    assume(g is not None)
+    assert check_proven_route(g, 10) == _gap_direct(g, 10)
+
+
 def _certificates_match_reference(g, degree_bound, search_bound):
     """classify's certificates equal the per-facet reference loop's on the
     gap elements it examined (all of them, or up to the S' candidate);
@@ -423,33 +498,33 @@ def test_facet_table_matches_level_loop():
 
 
 @pytest.fixture
-def level_calls(monkeypatch):
-    """(edges, max_degree) of each ``semigroup._edge_sum_levels`` call: the
-    gap stage's over all edges of a graph, ``Cone.table``'s over one facet's."""
+def table_calls(monkeypatch):
+    """(graph, facet) of each bounded table that ``Cone.table`` builds, in
+    order; a call that finds its table already built adds nothing."""
     calls = []
-    real = semigroup._edge_sum_levels
+    real = semigroup.Cone.table
 
-    def counting(d, edges, max_degree):
-        calls.append((edges, max_degree))
-        return real(d, edges, max_degree)
+    def recording(self, f, bound):
+        if (f, bound) not in self._built:
+            calls.append((self.graph, f))
+        return real(self, f, bound)
 
-    monkeypatch.setattr(semigroup, "_edge_sum_levels", counting)
+    monkeypatch.setattr(semigroup.Cone, "table", recording)
     return calls
 
 
 def table_builds(calls, g):
-    """The validated facets of g whose bounded table was built, in order."""
-    by_edges = {f.on_facet_edges: f for f in facets(g) if f.validated}
-    return [by_edges[edges] for edges, _ in calls if edges in by_edges]
+    """The facets of g whose bounded table was built, in order."""
+    return [f for h, f in calls if h == g]
 
 
-def test_facet_tables_live_while_the_graph_is_kept(g33, level_calls):
+def test_facet_tables_live_while_the_graph_is_kept(g33, table_calls):
     """``Cone.table`` builds each (facet, bound) table once while ``cone``
     keeps the graph: a second classify call reuses the tables, and a
     classify of another graph releases them."""
     rep = classify(g33.graph)
     assert rep.verdict == VERDICT_S2_VERIFIED and rep.exhaustive
-    assert table_builds(level_calls, g33.graph) == []  # every gap element is certified: no search, no table
+    assert table_builds(table_calls, g33.graph) == []  # every gap element is certified: no search, no table
 
     g = localization_graph()
     validated = [f for f in facets(g) if f.validated]
@@ -457,13 +532,13 @@ def test_facet_tables_live_while_the_graph_is_kept(g33, level_calls):
         rep = classify(g, degree_bound=8, search_bound=8)
         assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive and not rep.certificates
     # every gap element searches the first facet, yet over both calls each table is built once
-    first = table_builds(level_calls, g)
+    first = table_builds(table_calls, g)
     assert rep.gap_count > 1 and first and len(first) == len(set(first)) and first[0] == validated[0]
 
     classify(g33.graph)  # cone now keeps G(3,3)
-    level_calls.clear()
+    table_calls.clear()
     assert classify(g, degree_bound=8, search_bound=8).to_json_dict() == rep.to_json_dict()
-    assert table_builds(level_calls, g) == first
+    assert table_builds(table_calls, g) == first
 
 
 def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
@@ -595,7 +670,7 @@ def test_in_localization_signed_candidates(g33):
     assert pair.y == (2, 2, 0, 0, 0, 0, 0)
 
 
-def test_exact_no_facets_build_no_table(monkeypatch, level_calls):
+def test_exact_no_facets_build_no_table(monkeypatch, table_calls):
     """On pool graph 0 at bounds 8/8, a facet where every call is an exact
     no never has its bounded table built; every facet whose table is built
     had an exact yes."""
@@ -611,7 +686,7 @@ def test_exact_no_facets_build_no_table(monkeypatch, level_calls):
     monkeypatch.setattr(serre, "in_SF_bounded", recording)
     rep = classify(g, degree_bound=8, search_bound=8)
     assert rep.verdict == VERDICT_S2_VERIFIED and not rep.certificates
-    built = table_builds(level_calls, g)
+    built = table_builds(table_calls, g)
     exact_no = {f for f, alphas in calls.items()
                 if not any(in_localization(g, f, alpha).member for alpha in alphas)}
     assert exact_no and not exact_no & set(built)
