@@ -233,8 +233,9 @@ def cross_edge_orbits(fam: FamilyGraph, max_extra: int) -> list[int]:
         changed; an empty gap (Unknown) stays empty.
       - A vertex-parity certificate exists for alpha at v iff one exists
         for s(alpha) at s(v).
-      - The y-search of ``in_SF_bounded`` is bounded by degree, so a YES
-        for (F, alpha) is a YES for (s(F), s(alpha)).
+      - ``in_SF_bounded`` answers exactly whether alpha is in S - (S cap
+        F), and s maps S and S cap F onto S and S cap s(F), so a YES for
+        (F, alpha) is a YES for (s(F), s(alpha)).
       - NotS2 iff some uncertified alpha has a YES at every validated
         facet; S2Verified with ``exhaustive`` iff every alpha is certified.
         Each is existential or universal over sets that s permutes.

@@ -158,9 +158,8 @@ class _EdgeSumSearch:
     def decide(self, x: Vector) -> bool:
         """Membership of x; the prune runs here, once, above the table.
 
-        x must be nonnegative; this is not checked.  ``in_S`` and
-        ``serre.in_SF_bounded`` check signs first, and gap candidates are
-        sums of nonnegative vectors.
+        x must be nonnegative; this is not checked.  ``in_S`` checks signs
+        first, and gap candidates are sums of nonnegative vectors.
         """
         deg = sum(x)
         if deg // 2 >= len(self.levels) and not self._prune(x):
@@ -387,7 +386,9 @@ def in_S(g: Graph, x) -> MembershipWitness | None:
 
     x must be nonnegative.  An odd coordinate sum is immediately
     rejected; otherwise the exhaustive search settles the question, so a
-    None answer is a proof of non-membership.
+    None answer is a proof of non-membership.  The edges of alpha + y for
+    the y of ``serre.in_SF_bounded`` or ``serre.in_localization`` come
+    from here; neither builds them.
     """
     vec = _check_vector(g, x)
     if any(v < 0 for v in vec):
@@ -453,16 +454,16 @@ class Cone:
     the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
     ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
-    ``quotient(f)`` and ``table(f, bound)``: the data of ``serre.in_SF_
-    bounded``, built once per facet.  ``proven``: each gap element alpha
-    that ``_gap_formula`` read off its proof, mapped to the lowest vertex
-    of C(alpha), a fact of alpha alone (the lemmas there), so ``classify``
+    ``quotient(f)``: the ``_FacetQuotient`` of ``serre.in_localization``,
+    built once per facet.  ``proven``: each gap element alpha that
+    ``_gap_formula`` read off its proof, mapped to the lowest vertex of
+    C(alpha), a fact of alpha alone (the lemmas there), so ``classify``
     reads it instead of scanning ``certifying``.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._built: dict = {}  # f -> quotient, (f, bound) -> table
+        self._quotients: dict[Facet, _FacetQuotient] = {}
         self.proven: dict[Vector, int] = {}
 
     @cached_property
@@ -498,18 +499,9 @@ class Cone:
                 if not x[i] and any(sum(map(x.__getitem__, comp)) % 2 for comp in comps))
 
     def quotient(self, f: Facet) -> _FacetQuotient:
-        if f not in self._built:
-            self._built[f] = _FacetQuotient(self.graph, f)
-        return self._built[f]
-
-    def table(self, f: Facet, bound: int) -> list[Vector]:
-        """All members of S on the facet with coordinate sum <= bound,
-        ordered by (degree, lex), zero first: the sorted keys of each
-        ``_edge_sum_levels`` dict over the on-facet edges."""
-        if (f, bound) not in self._built:
-            levels = _edge_sum_levels(self.graph.n_vertices, tuple(generators_on_facet(self.graph, f)), bound)
-            self._built[f, bound] = [y for level in levels for y in sorted(level)]
-        return self._built[f, bound]
+        if f not in self._quotients:
+            self._quotients[f] = _FacetQuotient(self.graph, f)
+        return self._quotients[f]
 
 
 @lru_cache(maxsize=1)

@@ -194,3 +194,5 @@ def test_vertex_outside_graph_is_rejected(g33):
             is_regular_vertex(g, v)
     with pytest.raises(ValueError):
         regular_vertex_components(delete_vertex(g, 2), 2)
+    with pytest.raises(ValueError):  # deleting the only vertex leaves no graph
+        regular_vertex_components(Graph((1,), ()), 1)
