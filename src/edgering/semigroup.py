@@ -448,8 +448,8 @@ class Cone:
     graph's object.  ``pairs``: ``exceptional_pairs(g)``, one scan for the
     cycles, HK and gap stages.  ``regular``: ``regular_vertex_components(g,
     v)`` per regular vertex v, ascending, the one per-vertex store.
-    ``parity``: (v, v - 1, 0-based index tuples of those components) per
-    entry: exactly the validated vertex facets, by the lemma of
+    ``parity``: the 0-based index tuples of those components, keyed by v:
+    exactly the validated vertex facets, by the lemma of
     ``facets._facet_from_normal``, as v is the one bipartite component of
     the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
@@ -476,9 +476,8 @@ class Cone:
         return {v: comps for v, comps in rows if comps is not None}
 
     @cached_property
-    def parity(self) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
-        return tuple((v, v - 1, tuple(tuple(u - 1 for u in comp) for comp in comps))
-                     for v, comps in self.regular.items())
+    def parity(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {v: tuple(tuple(u - 1 for u in comp) for comp in comps) for v, comps in self.regular.items()}
 
     @cached_property
     def lattice(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
@@ -495,8 +494,8 @@ class Cone:
     def certifying(self, x: Vector) -> Iterator[int]:
         """C(x), ascending: the regular v with x_v = 0 and a component of G
         minus v of odd x-weight, sound by ``serre.vertex_parity_certificate``."""
-        return (v for v, i, comps in self.parity
-                if not x[i] and any(sum(map(x.__getitem__, comp)) % 2 for comp in comps))
+        return (v for v, comps in self.parity.items()
+                if not x[v - 1] and any(sum(map(x.__getitem__, comp)) % 2 for comp in comps))
 
     def quotient(self, f: Facet) -> _FacetQuotient:
         if f not in self._quotients:

@@ -260,20 +260,23 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
 
-    The components are ``cone(g).regular[v]``, so a repeated call costs
-    O(d); a v outside G or not regular raises ValueError.  ``classify``
-    calls it once per gap element, at the lowest vertex of C(alpha): on a
-    proven graph the gap stage hands that vertex over in ``Cone.proven``,
-    else ``classify`` scans ``Cone.certifying``, the same test.
+    The components are ``cone(g).regular[v]``, summed through the 0-based
+    index tuples of ``Cone.parity[v]`` as in ``Cone.certifying``, so a
+    repeated call costs O(d); a v outside G or not regular raises
+    ValueError.  ``classify`` calls it once per gap element, at the lowest
+    vertex of C(alpha): on a proven graph the gap stage hands that vertex
+    over in ``Cone.proven``, else ``classify`` scans ``Cone.certifying``,
+    the same test.
     """
     vec = _check_vector(g, alpha)
-    comps = cone(g).regular.get(v)
-    if comps is None:
+    c = cone(g)
+    rows = c.parity.get(v)
+    if rows is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
         return None
-    for comp in comps:
-        if sum(vec[u - 1] for u in comp) % 2 == 1:
+    for comp, idx in zip(c.regular[v], rows):
+        if sum(map(vec.__getitem__, idx)) % 2:
             return ExclusionCertificate(v, comp, vec)
     return None
 
@@ -354,6 +357,20 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     exclusion is a vertex-parity certificate); Unknown when non-normality
     is established but no gap element falls under the degree bound.
 
+    Facet order.  Each gap element without a vertex-parity certificate is
+    tested against the validated facets in a local list, built at the
+    first such element (so a graph whose gap is all certified never
+    enumerates its facets); the facet that excludes it moves to the
+    front, and the next element tries that facet first.  Why it pays: for
+    beta in S cap F, alpha + beta is in S - (S cap F) iff alpha is, since
+    beta is a unit of that localization, so gap elements x + beta that
+    share x are mostly excluded at one facet.  Nothing rests on that
+    lemma: every answer is the exact one of ``in_localization``.  The
+    report cannot depend on the order: S2Verified needs some non-yes
+    facet per element and NotS2 a yes at every facet, ``s_prime_candidate``
+    is still the first such element in gap order, and certificates come
+    only from the vertex path.
+
     Args:
         g: connected graph with an odd cycle, labels 1..d.
         degree_bound: bound on gap enumeration (positive even).
@@ -412,12 +429,18 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     t0 = time.perf_counter()
     certificates: list[ExclusionCertificate] = []
     exhaustive = True
+    order: list[Facet] = []  # the validated facets, the last excluding one first
     for alpha in gap:
         v = c.proven.get(alpha) or next(c.certifying(alpha), None)  # the lowest vertex of C(alpha)
         if v is not None:
             certificates.append(vertex_parity_certificate(g, v, alpha))
             continue
-        if all(in_SF_bounded(g, f, alpha).status == YES for f in c.validated):
+        order = order or list(c.validated)  # here, so an all-certified gap enumerates no facet
+        for i, f in enumerate(order):
+            if in_SF_bounded(g, f, alpha).status != YES:
+                order.insert(0, order.pop(i))
+                break
+        else:
             timings["exclusion"] = (time.perf_counter() - t0) * 1000.0
             return _report(
                 verdict=VERDICT_NOT_S2, gap=gap, certificates=tuple(certificates), s_prime_candidate=alpha

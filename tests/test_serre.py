@@ -32,7 +32,16 @@ from edgering.families import (
     in_set_A,
     theorem_edge_range,
 )
-from edgering.graph import Graph, UnsupportedGraphError, bits, connected_components, delete_vertex, to_mask, write_graph
+from edgering.graph import (
+    Graph,
+    UnsupportedGraphError,
+    bits,
+    connected_components,
+    delete_vertex,
+    parse_graph,
+    to_mask,
+    write_graph,
+)
 from edgering.semigroup import _gap_direct, cone, gap_elements, in_cone, in_lattice, in_S, normalization_generators
 from edgering.serre import (
     NO_CERTIFIED,
@@ -49,6 +58,7 @@ from edgering.serre import (
     in_SF_bounded,
     vertex_parity_certificate,
 )
+from test_cli import POOL_FILE
 from test_semigroup import _formula_route, connected_nonbipartite, draw_graph, with_exceptional_pair
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
@@ -56,10 +66,26 @@ ALPHA = (1, 1, 1, 0, 1, 1, 1)
 # pool graph 0 (``localization_graph``), recorded before the exact
 # localization test was added
 POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b4816989d9d623"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# pair_clique_d10.graph, recorded before exclusion tried the last
+# excluding facet first
+PAIR_CLIQUE_D10_REPORT_SHA256 = "158b068fee220bf425765f246e9c61b0180a65f5cdb1776671b432dd60a7ce7c"
 
 
 def vertex_facet(g, v):
     return next(f for f in facets(g) if f.kind == VERTEX_KIND and f.vertices == (v,))
+
+
+def analyze_sha256(rep):
+    """SHA-256 of the bytes `analyze` writes for the report."""
+    return hashlib.sha256((json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the ``serre`` global ``name``; returns the list of its calls."""
+    calls, real = [], getattr(serre, name)
+    monkeypatch.setattr(serre, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_vertex_parity_certificate(g33):
@@ -167,7 +193,8 @@ def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
     pair vectors read ``cone(g).pairs``.  On the d = 8, n = 13 theorem
     graph it also builds each G minus v at most once and never enumerates
     the facets: HK, the parity rows and the certificates share
-    ``Cone.regular``, and every gap element is certified."""
+    ``Cone.regular``, and every gap element is certified, so no
+    ``in_SF_bounded`` call is made either."""
     scans = []
     real = cycles.minimal_odd_cycles
 
@@ -189,10 +216,11 @@ def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
     real_regular, real_facets = semigroup.regular_vertex_components, semigroup.facets
     monkeypatch.setattr(semigroup, "regular_vertex_components", lambda g, v: components.append(v) or real_regular(g, v))
     monkeypatch.setattr(semigroup, "facets", lambda g: enumerated.append(g) or real_facets(g))
+    tests = count_calls(monkeypatch, "in_SF_bounded")
     g = graph_for_theorem(8, 13).graph
     cone.cache_clear()
     assert classify(g).verdict == VERDICT_S2_VERIFIED
-    assert components and len(components) == len(set(components)) and not enumerated
+    assert components and len(components) == len(set(components)) and not enumerated and not tests
 
 
 def test_classify_keeps_one_graph(g33):
@@ -510,6 +538,12 @@ def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
     assert seen == validated
 
 
+# two triangles joined through three more vertices: NotS2 at its first
+# uncertified gap element at bounds 8/8
+EXCLUSION_NOT_S2 = Graph.from_edge_list(9, [(1, 5), (1, 7), (1, 9), (2, 4), (2, 5), (2, 6), (3, 6), (3, 8),
+                                            (4, 7), (6, 8), (7, 9)])
+
+
 def test_exclusion_matches_localization_oracle():
     """At bounds 8/8, on graphs that HK does not refute, against the
     brute-force condition of ``helpers.localization_reference`` at the
@@ -526,8 +560,7 @@ def test_exclusion_matches_localization_oracle():
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(st.one_of(connected_nonbipartite(8), with_exceptional_pair(8)))
-    @example(Graph.from_edge_list(9, [(1, 5), (1, 7), (1, 9), (2, 4), (2, 5), (2, 6), (3, 6), (3, 8),
-                                      (4, 7), (6, 8), (7, 9)]))
+    @example(EXCLUSION_NOT_S2)
     def check(g):
         assume(cycles.exceptional_pairs(g) and hk_not_s2(g) is None)
         rep = classify(g, degree_bound=8, search_bound=8)
@@ -548,16 +581,95 @@ def test_exclusion_matches_localization_oracle():
     assert sum(map(bool, uncertified_counts)) >= 5 and VERDICT_NOT_S2 in verdicts, uncertified_counts
 
 
-def test_pool_graph_0_report_at_default_bounds():
+def test_pool_graph_0_report_at_default_bounds(monkeypatch):
     """Pool graph 0 at the default bounds: no vertex facet certifies any
     of its 792 gap elements, so every one is excluded at some facet by the
-    exact localization test; the bytes `analyze` writes, pinned.  The
-    graph file that CI's `edgering analyze` reads is this graph."""
+    exact localization test; the bytes `analyze` writes, pinned.  Trying
+    the last excluding facet first keeps the per-facet tests at 799, about
+    one per element (6,336 in the fixed facet order).  The graph file
+    that CI's `edgering analyze` reads is this graph."""
     assert (Path(__file__).parent / "golden" / "pool_graph_0.graph").read_text() == write_graph(localization_graph())
+    tests = count_calls(monkeypatch, "in_SF_bounded")
+    cone.cache_clear()
     rep = classify(localization_graph(), degree_bound=16, search_bound=12)
     assert rep.gap_count == 792 and not rep.certificates
-    data = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(data.encode()).hexdigest() == POOL_0_REPORT_SHA256
+    assert analyze_sha256(rep) == POOL_0_REPORT_SHA256
+    assert len(tests) <= 799
+
+
+def pair_clique_graph():
+    """The pair-and-clique graph at d = 10, three edges past the paper's
+    top: triangles {1,2,3} and {4,5,6}, F = {7,8,9} joined to all six
+    triangle vertices, and a clique on F and 10; 30 edges.  The two triangles are the only
+    exceptional pair, and no vertex certifies any gap element."""
+    pairs = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+    pairs += [(t, f) for t in range(1, 7) for f in (7, 8, 9)]
+    pairs += [(a, b) for a in range(7, 11) for b in range(a + 1, 11)]
+    return Graph.from_edge_list(10, pairs)
+
+
+def test_pair_clique_d10_report_at_default_bounds(monkeypatch):
+    """The d = 10 construction at the default bounds is S2 with 2,002 gap
+    elements, none certified: each is excluded by the exact localization
+    test, 2,015 tests in all (28,028 in the fixed facet order).  The
+    bytes `analyze` writes are pinned; CI's `edgering analyze` reads the
+    golden file, which is this graph."""
+    g = parse_graph((Path(__file__).parent / "golden" / "pair_clique_d10.graph").read_text())
+    assert g == pair_clique_graph() and len(g.edges) == 30
+    tests = count_calls(monkeypatch, "in_localization")
+    cone.cache_clear()
+    rep = classify(g)
+    assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive and rep.gap_count == 2002
+    assert analyze_sha256(rep) == PAIR_CLIQUE_D10_REPORT_SHA256
+    assert len(tests) <= 2015
+
+
+def exclusion_graphs():
+    """Graphs whose exclusion stage tests facets at bounds 8/8, or that
+    reach it: the 60 localization pool graphs of the benchmark,
+    ``EXCLUSION_NOT_S2`` and the
+    non-normal graphs among 3,000 draws of ``random_connected_
+    nonbipartite(Random(5), 9, 10, 0.3)``."""
+    pool = json.loads(POOL_FILE.read_text(encoding="utf-8"))["localization_search"]["pool"]
+    graphs = [parse_graph(entry["graph"]) for entry in pool]
+    graphs.append(EXCLUSION_NOT_S2)
+    rng = random.Random(5)
+    draws = (helpers.random_connected_nonbipartite(rng, 9, 10, 0.3) for _ in range(3000))
+    return graphs + [g for g in draws if cycles.exceptional_pairs(g)]
+
+
+def test_exclusion_order_does_not_change_reports(monkeypatch):
+    """``classify``'s reports at bounds 8/8 are the same whatever order
+    ``Cone.validated`` lists the facets in: as enumerated, reversed, or
+    shuffled by a seeded ``Random``.  Each NotS2 ``s_prime_candidate`` is
+    the first gap element that every validated facet admits, tested
+    facet by facet, and an S2 verdict has none; the graphs include both
+    verdicts with uncertified gap elements."""
+    graphs = exclusion_graphs()
+
+    def reports():
+        out = []
+        for g in graphs:
+            cone.cache_clear()
+            out.append(classify(g, degree_bound=8, search_bound=8))
+        return out
+
+    default = reports()
+    uncertified, s_prime = 0, 0
+    for g, rep in zip(graphs, default):
+        validated = [f for f in facets(g) if f.validated]
+        first = next((alpha for alpha in rep.gap if all(in_SF_bounded(g, f, alpha).status == YES for f in validated)),
+                     None)
+        assert rep.s_prime_candidate == first, g.edges
+        uncertified += bool(rep.gap) and not rep.exhaustive
+        s_prime += first is not None
+    assert uncertified >= 70 and s_prime >= 3, (uncertified, s_prime)
+
+    default = [rep.to_json_dict() for rep in default]
+    for arrange in (lambda fs: fs[::-1], lambda fs: random.Random(7).sample(fs, len(fs))):
+        validated = property(lambda c: tuple(arrange([f for f in facets(c.graph) if f.validated])))
+        monkeypatch.setattr(semigroup.Cone, "validated", validated)
+        assert [rep.to_json_dict() for rep in reports()] == default
 
 
 @st.composite
@@ -691,7 +803,7 @@ def test_cone_parity_is_the_vertex_facets(g, data):
     each ``classify`` certificate sits at the lowest vertex of C(alpha)."""
     c = cone(g)
     regular = [v for v in g.vertices if helpers.regular_vertex_components_reference(g, v) is not None]
-    assert [v for v, _, _ in c.parity] == regular
+    assert list(c.parity) == regular
     assert regular == [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
     assert all(f.validated for f in facets(g) if f.kind == VERTEX_KIND)
     x = data.draw(st.lists(st.integers(0, 2), min_size=g.n_vertices, max_size=g.n_vertices))
