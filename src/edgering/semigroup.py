@@ -102,9 +102,9 @@ class _EdgeSumSearch:
     of ``levels[k]``: the table is the whole monoid in those degrees, by
     construction.  The branching above runs only until the degree falls
     into the table.  Without ``levels`` the table is just the zero vector,
-    as in the engine ``Cone.engine`` shares; where its proof fails,
-    ``_gap_formula`` builds its own engine over a table, which goes when
-    the call ends.
+    as in the engine ``Cone.engine`` shares; where some module generator
+    is open, ``_gap_formula`` builds its own engine over a table for the
+    open candidates, which goes when the call ends.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -446,38 +446,35 @@ class Cone:
     """The only store of data derived from a graph outside the ``Graph``
     itself, each member built on first use; ``cone(g)`` keeps only the last
     graph's object.  ``pairs``: ``exceptional_pairs(g)``, one scan for the
-    cycles, HK and gap stages.  ``regular``: ``regular_vertex_components(g,
-    v)`` per regular vertex v, ascending, the one per-vertex store.
-    ``parity``: the 0-based index tuples of those components, keyed by v:
-    exactly the validated vertex facets, by the lemma of
-    ``facets._facet_from_normal``, as v is the one bipartite component of
-    the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
+    cycles, HK and gap stages.  ``regular``: the one per-vertex store, per
+    regular vertex v, ascending, the components of
+    ``regular_vertex_components(g, v)``, each with its 0-based index
+    tuple; its keys are exactly the validated vertex facets, by the lemma
+    of ``facets._facet_from_normal``, as v is the one bipartite component
+    of the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
     ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
     ``quotient(f)``: the ``_FacetQuotient`` of ``serre.in_localization``,
-    built once per facet.  ``proven``: each gap element alpha that
-    ``_gap_formula`` read off its proof, mapped to the lowest vertex of
-    C(alpha), a fact of alpha alone (the lemmas there), so ``classify``
+    built once per facet.  ``certified``: each gap element alpha with C(alpha)
+    nonempty that ``_gap_formula`` has listed, mapped to the lowest vertex
+    of C(alpha), a fact of alpha alone (Lemma 1 there), so ``classify``
     reads it instead of scanning ``certifying``.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self._quotients: dict[Facet, _FacetQuotient] = {}
-        self.proven: dict[Vector, int] = {}
+        self.certified: dict[Vector, int] = {}
 
     @cached_property
     def pairs(self) -> tuple[ExceptionalPair, ...]:
         return exceptional_pairs(self.graph)
 
     @cached_property
-    def regular(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+    def regular(self) -> dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
         rows = ((v, regular_vertex_components(self.graph, v)) for v in self.graph.vertices)
-        return {v: comps for v, comps in rows if comps is not None}
-
-    @cached_property
-    def parity(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        return {v: tuple(tuple(u - 1 for u in comp) for comp in comps) for v, comps in self.regular.items()}
+        return {v: tuple((comp, tuple(u - 1 for u in comp)) for comp in comps)
+                for v, comps in rows if comps is not None}
 
     @cached_property
     def lattice(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
@@ -494,8 +491,8 @@ class Cone:
     def certifying(self, x: Vector) -> Iterator[int]:
         """C(x), ascending: the regular v with x_v = 0 and a component of G
         minus v of odd x-weight, sound by ``serre.vertex_parity_certificate``."""
-        return (v for v, comps in self.parity.items()
-                if not x[v - 1] and any(sum(map(x.__getitem__, comp)) % 2 for comp in comps))
+        return (v for v, rows in self.regular.items()
+                if not x[v - 1] and any(sum(map(x.__getitem__, idx)) % 2 for _, idx in rows))
 
     def quotient(self, f: Facet) -> _FacetQuotient:
         if f not in self._quotients:
@@ -555,20 +552,12 @@ def _covers_in_S(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: in
     return grow(x, cover, sum(x))
 
 
-def _gap_proof(g: Graph, engine: _EdgeSumSearch, module: list[Vector], degree_bound: int) -> list[int] | None:
-    """Steps B and C of ``_gap_formula``: C(x) per x in M, or None."""
-    covers = [to_mask(cone(g).certifying(x)) for x in module]
-    if all(covers) and all(_covers_in_S(engine, x, c, degree_bound) for x, c in zip(module, covers)):
-        return covers
-    return None
-
-
 def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound: int) -> dict[Vector, int]:
-    """The gap by the lemma of ``_gap_formula``, each element mapped to the
-    lowest vertex of its C: for each v, ascending, and each x in M with v
-    in C(x) = ``covers``, x + beta over the edge sums beta of G minus v of
-    degree <= b - deg(x) that are positive on C(x) below v.  The levels of
-    G minus v are built once, for every x that uses v."""
+    """The certified gap by Lemma 2 of ``_gap_formula``, each element
+    mapped to the lowest vertex of its C: for each v, ascending, and each x
+    in M with v in C(x) = ``covers``, x + beta over the edge sums beta of
+    G minus v of degree <= b - deg(x) that are positive on C(x) below v.
+    The levels of G minus v are built once, for every x that uses v."""
     users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
     for i, cover in enumerate(covers):
         for v in bits(cover):
@@ -588,34 +577,25 @@ def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound:
     return found
 
 
-def _gap_candidates(module: list[Vector], levels: list[dict[Vector, int]], degree_bound: int) -> set[Vector]:
-    """x + beta for x in M and beta in ``levels[k]``, 2k <= degree_bound - deg(x)."""
-    return {
-        tuple(map(add, x, beta))
-        for x in module
-        for k in range((degree_bound - sum(x)) // 2 + 1)
-        for beta in levels[k]
-    }
-
-
 def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
-    """Formula route: the gap of degree <= b = degree_bound, read off a
-    proof where one holds, else decided candidate by candidate.
+    """Formula route: the gap of degree <= b = degree_bound, read off
+    Lemma 2 per module generator x, with a search only where it leaves x
+    open.
 
     Gamma: the ``normalization_generators`` of degree <= b, so Sbar =
     S + sum N.gamma (Ohsugi and Hibi, J. Algebra 207, 1998).  C(x): the
-    regular v with x_v = 0 and a component of G minus v of odd x-weight.
+    regular v with x_v = 0 and a component of G minus v of odd x-weight
+    (``Cone.certifying``).
 
-    Step A (always).  M = ``_module_generators``.  Each alpha in Sbar of
-    degree <= b is in S or M + S: in alpha = s + gamma_1 + ... + gamma_r
-    each partial sum is in S or m + S, by induction, as gamma and each
-    m + gamma were kept in M, or found in S or in m' + S.  So x + beta,
-    x in M, beta in S of degree <= b - deg(x), covers the gap.
-    Step B: every C(x), x in M, is nonempty (generators checked first);
-    C(x) is read off ``Cone.certifying``, the test ``classify`` runs too.
-    Step C (``_covers_in_S``): for x in M, choosing an edge at each
-    vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e) is in
-    S or of degree > b.
+    Step A.  M = ``_module_generators``.  Each alpha in Sbar of degree
+    <= b is in S or M + S: in alpha = s + gamma_1 + ... + gamma_r each
+    partial sum is in S or m + S, by induction, as gamma and each m +
+    gamma were kept in M, or found in S or in m' + S.  So x + beta, x in
+    M, beta in S of degree <= b - deg(x), covers the gap.
+    Step C (``_covers_in_S``) for x with C(x) nonempty: choosing an edge
+    at each vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e)
+    is in S or of degree > b.  x is *open* when C(x) is empty or Step C
+    fails.
 
     Lemma 1.  For any x >= 0 and beta in S, C(x + beta) = C(x) minus
     supp(beta), and at each v in C(x + beta) the first component of G
@@ -624,47 +604,51 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     decomposition of beta meets v, so each lies inside one component of
     G minus v and adds 2 to its weight: every component keeps its parity.
 
-    Lemma 2.  Under A-C the gap is exactly the x + beta above with beta_v
-    = 0 for some v in C(x).  Proof.  If beta_v = 0, x + beta keeps an odd
-    component of G minus v (Lemma 1), so it is not in S (``serre.vertex_
-    parity_certificate``).  If beta is positive on C(x), Step C can choose
-    edges of one decomposition of beta, all distinct, so x + beta lies in
-    (x + sum_E rho(e)) + S, inside S by Step C.
+    Lemma 2, for one x in M and beta in S.  (i) If beta_v = 0 for some v
+    in C(x), x + beta keeps an odd component of G minus v (Lemma 1): it is
+    in the gap, and v certifies it (``serre.vertex_parity_certificate``).
+    (ii) If beta is positive on C(x) and Step C holds for x, Step C can
+    choose edges of one decomposition of beta, all distinct, so x + beta
+    lies in (x + sum_E rho(e)) + S, inside S.  (iii) Otherwise x is open:
+    x + beta is decided by search, and C(x + beta) is empty (Lemma 1).
 
-    Consequence (``_proven_gap``).  beta in S with beta_v = 0 is exactly
-    an edge sum of G minus v, the semigroup S cap F_v of v's vertex facet.
-    Split Lemma 2 by the lowest v in C(x) where beta vanishes: the gap is
-    the union over x in M and v in C(x) of x + beta, beta an edge sum of G
-    minus v of degree <= b - deg(x), positive on the vertices of C(x)
-    below v.  For one x the pieces are disjoint, and by Lemma 1 the lowest
-    vertex of C(x + beta) is v, whichever x reaches the element; it goes
-    into ``Cone.proven`` for ``classify``.
-
-    Steps A-C decide on the shared table-free ``Cone.engine``.  When the
-    proof fails, the candidates x + beta over all edges of G are decided
-    one by one against a table of edge sums of G, with an engine that is
-    this call's own, so the table goes when the call ends; M is reused
-    when Step A already ran.  S' = S is the (S2) criterion (Trung and
+    Certified part (``_proven_gap``), for every x with C(x) nonempty.
+    beta in S with beta_v = 0 is exactly an edge sum of G minus v, the
+    semigroup S cap F_v of v's vertex facet.  Split (i) by the lowest v
+    in C(x) where beta vanishes: the pieces are disjoint, and by Lemma 1
+    v is the lowest vertex of C(x + beta), whichever x reaches it; it goes
+    into ``Cone.certified``.  Open part, only if some x is open: the
+    candidates (iii) are decided against a table of edge sums of G, on an
+    engine of this call's own, so the table goes when the call ends.
+    They have C empty, so none is certified, and ``Cone.certified`` holds
+    exactly the gap elements with C nonempty.  Steps A and C decide on the
+    table-free ``Cone.engine``.  S' = S is the (S2) criterion (Trung and
     Hoa, Trans. AMS 298, 1986).
     """
     gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
         return []
     c = cone(g)
-    module = None
-    if all(to_mask(c.certifying(x)) for x in gens):
-        module = _module_generators(c.engine, gens, degree_bound)
-        covers = _gap_proof(g, c.engine, module, degree_bound)
-        if covers is not None:
-            found = _proven_gap(g, module, covers, degree_bound)
-            c.proven.update(found)
-            return sorted(found, key=lambda v: (sum(v), v))
-    levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
-    engine = _EdgeSumSearch(g, levels)
-    if module is None:
-        module = _module_generators(engine, gens, degree_bound)
-    gap = [alpha for alpha in _gap_candidates(module, levels, degree_bound) if not engine.decide(alpha)]
-    return sorted(gap, key=lambda v: (sum(v), v))
+    module = _module_generators(c.engine, gens, degree_bound)
+    covers = [to_mask(c.certifying(x)) for x in module]
+    found = _proven_gap(g, module, covers, degree_bound)
+    c.certified.update(found)
+    gap = list(found)
+    opened = [(x, cover) for x, cover in zip(module, covers)
+              if not cover or not _covers_in_S(c.engine, x, cover, degree_bound)]
+    if opened:
+        levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
+        engine = _EdgeSumSearch(g, levels)
+        candidates = {
+            tuple(map(add, x, beta))
+            for x, cover in opened
+            for k in range((degree_bound - sum(x)) // 2 + 1)
+            for beta, supp in levels[k].items()
+            if supp & cover == cover
+        }
+        gap += (alpha for alpha in candidates if not engine.decide(alpha))
+    gap.sort(key=lambda v: (sum(v), v))
+    return gap
 
 
 def _nonnegative_vectors(d: int, bound: int) -> list[Vector]:

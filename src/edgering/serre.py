@@ -260,22 +260,19 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
 
-    The components are ``cone(g).regular[v]``, summed through the 0-based
-    index tuples of ``Cone.parity[v]`` as in ``Cone.certifying``, so a
-    repeated call costs O(d); a v outside G or not regular raises
-    ValueError.  ``classify`` calls it once per gap element, at the lowest
-    vertex of C(alpha): on a proven graph the gap stage hands that vertex
-    over in ``Cone.proven``, else ``classify`` scans ``Cone.certifying``,
-    the same test.
+    The components and their 0-based index tuples are ``cone(g).regular
+    [v]``, the rows ``Cone.certifying`` sums too, so a repeated call costs
+    O(d); a v outside G or not regular raises ValueError.  ``classify``
+    calls it once per gap element with C(alpha) nonempty, at its lowest
+    vertex, which the gap stage hands over in ``Cone.certified``.
     """
     vec = _check_vector(g, alpha)
-    c = cone(g)
-    rows = c.parity.get(v)
+    rows = cone(g).regular.get(v)
     if rows is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
         return None
-    for comp, idx in zip(c.regular[v], rows):
+    for comp, idx in rows:
         if sum(map(vec.__getitem__, idx)) % 2:
             return ExclusionCertificate(v, comp, vec)
     return None
@@ -357,6 +354,11 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     exclusion is a vertex-parity certificate); Unknown when non-normality
     is established but no gap element falls under the degree bound.
 
+    Certificates.  The lowest vertex of C(alpha) is read off
+    ``Cone.certified``, which the gap stage fills with every gap element
+    that has a certifying vertex; an element it lacks has C(alpha) empty
+    (Lemma 2 of ``semigroup._gap_formula``), so no vertex is scanned here.
+
     Facet order.  Each gap element without a vertex-parity certificate is
     tested against the validated facets in a local list, built at the
     first such element (so a graph whose gap is all certified never
@@ -431,7 +433,7 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     exhaustive = True
     order: list[Facet] = []  # the validated facets, the last excluding one first
     for alpha in gap:
-        v = c.proven.get(alpha) or next(c.certifying(alpha), None)  # the lowest vertex of C(alpha)
+        v = c.certified.get(alpha)  # the lowest vertex of C(alpha), None when C(alpha) is empty
         if v is not None:
             certificates.append(vertex_parity_certificate(g, v, alpha))
             continue

@@ -59,7 +59,14 @@ from edgering.serre import (
     vertex_parity_certificate,
 )
 from test_cli import POOL_FILE
-from test_semigroup import _formula_route, connected_nonbipartite, draw_graph, with_exceptional_pair
+from test_semigroup import (
+    PARTIAL_PROOF_D9,
+    _formula_route,
+    connected_nonbipartite,
+    draw_graph,
+    plain_gap,
+    with_exceptional_pair,
+)
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
 # SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
@@ -70,6 +77,10 @@ POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b48169
 # pair_clique_d10.graph, recorded before exclusion tried the last
 # excluding facet first
 PAIR_CLIQUE_D10_REPORT_SHA256 = "158b068fee220bf425765f246e9c61b0180a65f5cdb1776671b432dd60a7ce7c"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# partial_proof_d9.graph, recorded before the gap stage applied Lemma 2
+# to each module generator on its own
+PARTIAL_PROOF_D9_REPORT_SHA256 = "24f09a3637460e5a1b4022dbde2c449d7135ee11f4ec7411470828a181d09eba"
 
 
 def vertex_facet(g, v):
@@ -372,9 +383,9 @@ def test_theorem_certificates_unchanged(d):
 
 
 def proven_at(bound):
-    """Whether the proof of ``semigroup._gap_formula`` holds for a graph
-    at ``bound``, as a ``draw_graph`` filter."""
-    return lambda g: any(sum(x) <= bound for x in normalization_generators(g)) and _formula_route(g, bound)[2] is not None
+    """Whether Lemma 2 of ``semigroup._gap_formula`` closes every module
+    generator of a graph at ``bound``, as a ``draw_graph`` filter."""
+    return lambda g: any(sum(x) <= bound for x in normalization_generators(g)) and not _formula_route(g, bound)[3]
 
 
 def multi_vertex_graph():
@@ -388,13 +399,15 @@ def multi_vertex_graph():
     return g
 
 
-def check_proven_route(g, degree_bound):
-    """On a proven graph: the gap matches ``Cone.proven``, which maps each
-    element to next(``Cone.certifying``); when HK does not refute g,
-    ``classify`` makes one ``vertex_parity_certificate`` call per gap
-    element at that vertex, and each certificate is the per-element
-    route's.  The cone is dropped first, so ``Cone.proven`` holds this
-    call's gap alone.  Returns the gap."""
+def check_certified_route(g, degree_bound):
+    """The gap stage hands each gap element's lowest certifying vertex to
+    ``classify``: ``Cone.certified`` is exactly the gap elements with C
+    nonempty, each mapped to next(``Cone.certifying``).  When HK does not
+    refute g, the ``vertex_parity_certificate`` calls of ``classify`` that
+    certify are one per such element it examines, at that vertex (the
+    others come from ``in_SF_bounded`` on elements with C empty), and its
+    certificates are the per-element route's.  The cone is dropped first,
+    so ``Cone.certified`` holds this call's gap alone.  Returns the gap."""
     cone.cache_clear()
     if hk_not_s2(g) is not None:
         gap, calls = gap_elements(g, degree_bound), None
@@ -402,14 +415,29 @@ def check_proven_route(g, degree_bound):
         calls = []
         real = serre.vertex_parity_certificate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(serre, "vertex_parity_certificate", lambda g, v, alpha: calls.append((v, alpha)) or real(g, v, alpha))
+            mp.setattr(serre, "vertex_parity_certificate",
+                       lambda g, v, alpha: calls.append((v, alpha, real(g, v, alpha))) or calls[-1][2])
             rep = classify(g, degree_bound)
-        gap = list(rep.gap)
-        assert rep.exhaustive and list(rep.certificates) == helpers.vertex_certificates_reference(g, gap)
+        gap = examined = list(rep.gap)
+        if rep.s_prime_candidate is not None:
+            examined = gap[: gap.index(rep.s_prime_candidate) + 1]
+        reference = helpers.vertex_certificates_reference(g, examined)
+        assert list(rep.certificates) == [cert for cert in reference if cert is not None]
     c = cone(g)
-    lowest = [next(c.certifying(alpha)) for alpha in gap]
-    assert gap and [c.proven[alpha] for alpha in gap] == lowest
-    assert calls is None or calls == list(zip(lowest, gap))
+    lowest = [next(c.certifying(alpha), None) for alpha in gap]
+    assert [c.certified.get(alpha) for alpha in gap] == lowest
+    assert c.certified.keys() == {alpha for alpha, v in zip(gap, lowest) if v is not None}
+    if calls is not None:
+        assert [(v, alpha) for v, alpha, cert in calls if cert] == [
+            (v, alpha) for v, alpha in zip(lowest, examined) if v is not None]
+        assert all(c.certified.get(alpha) is None for _, alpha, cert in calls if not cert)
+    return gap
+
+
+def check_proven_route(g, degree_bound):
+    """``check_certified_route`` on a graph whose gap is all certified."""
+    gap = check_certified_route(g, degree_bound)
+    assert gap and len(cone(g).certified) == len(gap)
     return gap
 
 
@@ -444,6 +472,30 @@ def test_proven_route_on_random_graphs(seed):
     _, g = draw_graph(seed, proven_at(10), 3000)
     assume(g is not None)
     assert check_proven_route(g, 10) == _gap_direct(g, 10)
+
+
+def mixed_at(bound):
+    """Whether Lemma 2 leaves some module generator of a graph open at
+    ``bound`` while another has a certifying vertex, as a ``draw_graph``
+    filter."""
+    def wanted(g):
+        if not any(sum(x) <= bound for x in normalization_generators(g)):
+            return False
+        _, _, covers, opened = _formula_route(g, bound)
+        return bool(opened) and any(covers)
+
+    return wanted
+
+
+@pytest.mark.parametrize("seed, draw", [(0, 2391), (1, 1472), (5, 1838), (6, 17)])
+def test_certified_route_on_random_draws(seed, draw):
+    """The first graph of ``draw_graph(seed, ...)`` with an open module
+    generator and a certified one at bound 10 (HK refutes the draw of
+    seed 6): the gap equals the plain search and each certified element
+    reaches ``classify`` with its lowest vertex."""
+    found, g = draw_graph(seed, mixed_at(10), draw)
+    assert found == draw
+    assert check_certified_route(g, 10) == plain_gap(g, 10)
 
 
 def _certificates_match_reference(g, degree_bound, search_bound):
@@ -624,6 +676,21 @@ def test_pair_clique_d10_report_at_default_bounds(monkeypatch):
     assert len(tests) <= 2015
 
 
+def test_partial_proof_d9_report_at_default_bounds():
+    """The 9-vertex graph whose module Lemma 2 closes only in part is S2
+    at the default bounds: 1,782 gap elements, 1,287 certified by a vertex
+    and the rest excluded by the exact localization test.  The bytes
+    `analyze` writes are pinned; CI's `edgering analyze` reads the golden
+    file, which is this graph."""
+    g = parse_graph((Path(__file__).parent / "golden" / "partial_proof_d9.graph").read_text())
+    assert g == PARTIAL_PROOF_D9
+    cone.cache_clear()
+    rep = classify(g)
+    assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive
+    assert rep.gap_count == 1782 and len(rep.certificates) == 1287
+    assert analyze_sha256(rep) == PARTIAL_PROOF_D9_REPORT_SHA256
+
+
 def exclusion_graphs():
     """Graphs whose exclusion stage tests facets at bounds 8/8, or that
     reach it: the 60 localization pool graphs of the benchmark,
@@ -798,12 +865,17 @@ def certifying_reference(g, x):
 @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(connected_nonbipartite(dmax=9), with_exceptional_pair(dmax=9)), st.data())
 def test_cone_parity_is_the_vertex_facets(g, data):
-    """The parity rows of ``Cone`` are the regular vertices, which are the
-    vertices of the validated vertex facets; ``Cone.certifying`` is C(x);
-    each ``classify`` certificate sits at the lowest vertex of C(alpha)."""
+    """The keys of ``Cone.regular`` are the regular vertices, which are
+    the vertices of the validated vertex facets, and each row pairs a
+    component of G minus v with its 0-based indices; ``Cone.certifying``
+    is C(x); each ``classify`` certificate sits at the lowest vertex of
+    C(alpha)."""
     c = cone(g)
     regular = [v for v in g.vertices if helpers.regular_vertex_components_reference(g, v) is not None]
-    assert list(c.parity) == regular
+    assert list(c.regular) == regular
+    for v, rows in c.regular.items():
+        assert tuple(comp for comp, _ in rows) == helpers.regular_vertex_components_reference(g, v)
+        assert all(idx == tuple(u - 1 for u in comp) for comp, idx in rows)
     assert regular == [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
     assert all(f.validated for f in facets(g) if f.kind == VERTEX_KIND)
     x = data.draw(st.lists(st.integers(0, 2), min_size=g.n_vertices, max_size=g.n_vertices))
