@@ -10,7 +10,6 @@ from edgering.cycles import exceptional_pairs
 from edgering.families import add_cross_edges, build_gab, cross_pairs, graph_for_theorem
 from edgering.graph import Graph, UnsupportedGraphError, contains_odd_cycle, rho_vector, to_mask
 from edgering.semigroup import (
-    _covers_in_S,
     _EdgeSumSearch,
     _edge_sum_levels,
     _gap_direct,
@@ -327,16 +326,41 @@ def gab_with_cross_edges(draw):
 
 
 def _formula_route(g, bound):
-    """Module generators M, edge-sum levels, C(x) per x in M as a mask, and
-    the open x (C(x) empty, or a Step C cover outside S), rebuilt on a
-    fresh engine as the formula route builds them."""
+    """Module generators M and edge-sum levels, rebuilt on a fresh engine
+    as the formula route builds them: the candidates of ``plain_gap``."""
     gens = [x for x in normalization_generators(g) if sum(x) <= bound]
     levels = _edge_sum_levels(g.n_vertices, g.edges, bound - min(map(sum, gens)))
-    engine = _EdgeSumSearch(g, levels)
-    module = _module_generators(engine, gens, bound)
-    covers = [to_mask(cone(g).certifying(x)) for x in module]
-    opened = [x for x, cover in zip(module, covers) if not cover or not _covers_in_S(engine, x, cover, bound)]
-    return module, levels, covers, opened
+    module = _module_generators(_EdgeSumSearch(g, levels), gens, bound)
+    return module, levels
+
+
+def module_covers(g, bound):
+    """C(x) as a mask for each x in M, from ``Cone.certifying``."""
+    return [to_mask(cone(g).certifying(x)) for x in _formula_route(g, bound)[0]]
+
+
+class _OpenPart(Exception):
+    """Raised where ``gap_elements`` builds the table engine of its open part."""
+
+
+def opens(g, bound):
+    """Whether ``gap_elements(g, bound)`` leaves a module generator open:
+    only then does it build an engine over a table.  The call stops there,
+    after the certified part has gone into ``Cone.certified``."""
+    real = _EdgeSumSearch.__init__
+
+    def init(self, graph, levels=None):
+        if levels is not None:
+            raise _OpenPart
+        real(self, graph, levels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_EdgeSumSearch, "__init__", init)
+        try:
+            gap_elements(g, bound)
+        except _OpenPart:
+            return True
+    return False
 
 
 def plain_gap(g, bound):
@@ -344,7 +368,7 @@ def plain_gap(g, bound):
     levels of degree <= bound - deg(x), each decided by a plain search
     with no table and no shared memo: the oracle of the formula route,
     blind to which x Lemma 2 closes."""
-    module, levels, _, _ = _formula_route(g, bound)
+    module, levels = _formula_route(g, bound)
     plain = _EdgeSumSearch(g)
     candidates = {
         tuple(a + b for a, b in zip(x, beta))
@@ -370,10 +394,11 @@ def draw_graph(seed, wanted, draws):
 def test_table_lookup_matches_plain_search():
     """The gap equals a plain search, with no table and no shared memo,
     over the same candidates M + levels[k], whatever share of M Lemma 2
-    closes; ``Cone.certified`` maps each gap element to the lowest vertex
-    of its C, None where C is empty.  Some draws have an open generator,
-    and some of those a certified gap element too."""
-    opened, mixed = [], []
+    closes; ``Cone.certified`` holds exactly the gap elements with C
+    nonempty, each mapped to the lowest vertex of its C.  At least 100
+    draws reach the comparison; some have an open generator, and some of
+    those a certified gap element too."""
+    examined, opened, mixed = [], [], []
 
     @settings(max_examples=250, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -382,6 +407,7 @@ def test_table_lookup_matches_plain_search():
         st.sampled_from([6, 8, 10, 12]),
     )
     def check(g, bound):
+        cone.cache_clear()
         gap = gap_elements(g, bound)
         # the table is dropped when the gap call ends
         assert len(cone(g).engine.levels) == 1
@@ -389,14 +415,18 @@ def test_table_lookup_matches_plain_search():
             assert gap == []
             return
         assert gap == plain_gap(g, bound)
+        examined.append(g)
         c = cone(g)
-        assert [c.certified.get(a) for a in gap] == [next(c.certifying(a), None) for a in gap]
-        if _formula_route(g, bound)[3]:
+        lowest = [next(c.certifying(a), None) for a in gap]
+        assert [c.certified.get(a) for a in gap] == lowest
+        assert c.certified.keys() == {a for a, v in zip(gap, lowest) if v is not None}
+        if opens(g, bound):
             opened.append(g)
-            if any(a in c.certified for a in gap):
+            if c.certified:
                 mixed.append(g)
 
     check()
+    assert len(examined) >= 100, len(examined)
     assert opened and mixed, (len(opened), len(mixed))
 
 
@@ -405,7 +435,7 @@ def test_theorem_graphs_are_proven():
     no open module generator."""
     for d in (7, 8, 9):
         for n in range(d + 1, (d * d - 7 * d + 24) // 2 + 1):
-            assert not _formula_route(graph_for_theorem(d, n).graph, 16)[3], (d, n)
+            assert not opens(graph_for_theorem(d, n).graph, 16), (d, n)
 
 
 def test_pool_graph_0_is_not_proven():
@@ -415,7 +445,7 @@ def test_pool_graph_0_is_not_proven():
     g = Graph.from_edge_list(8, [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7),
                                  (4, 6), (5, 6), (5, 8)])
     assert not all(to_mask(cone(g).certifying(x)) for x in normalization_generators(g))
-    assert _formula_route(g, 8)[3]
+    assert opens(g, 8)
     assert gap_elements(g, 8) == _gap_direct(g, 8) != []
 
 
@@ -428,9 +458,8 @@ def test_cover_check_decides_the_route():
     vector of degree <= 10 is not in S, so that generator is open; the
     gap still matches the direct route."""
     g = PARTIAL_PROOF_D9
-    _, _, covers, opened = _formula_route(g, 10)
-    assert all(covers)
-    assert opened
+    assert all(module_covers(g, 10))
+    assert opens(g, 10)
     assert gap_elements(g, 10) == _gap_direct(g, 10) != []
 
 
@@ -451,7 +480,7 @@ def test_failed_proof_reuses_the_module(monkeypatch):
 
     def generators_certified_one_open(g):
         gens = [x for x in normalization_generators(g) if sum(x) <= 10]
-        return gens and all(to_mask(cone(g).certifying(x)) for x in gens) and _formula_route(g, 10)[3]
+        return gens and all(to_mask(cone(g).certifying(x)) for x in gens) and opens(g, 10)
 
     draw, drawn = draw_graph(20, generators_certified_one_open, 6000)
     assert draw == 4793

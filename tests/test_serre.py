@@ -61,9 +61,10 @@ from edgering.serre import (
 from test_cli import POOL_FILE
 from test_semigroup import (
     PARTIAL_PROOF_D9,
-    _formula_route,
     connected_nonbipartite,
     draw_graph,
+    module_covers,
+    opens,
     plain_gap,
     with_exceptional_pair,
 )
@@ -385,14 +386,14 @@ def test_theorem_certificates_unchanged(d):
 def proven_at(bound):
     """Whether Lemma 2 of ``semigroup._gap_formula`` closes every module
     generator of a graph at ``bound``, as a ``draw_graph`` filter."""
-    return lambda g: any(sum(x) <= bound for x in normalization_generators(g)) and not _formula_route(g, bound)[3]
+    return lambda g: any(sum(x) <= bound for x in normalization_generators(g)) and not opens(g, bound)
 
 
 def multi_vertex_graph():
     """A proven graph at bound 10 that HK does not refute, with a module
     generator x where |C(x)| >= 2: draw 1,430 of ``draw_graph(20, ...)``."""
     def wanted(g):
-        return proven_at(10)(g) and hk_not_s2(g) is None and any(c & (c - 1) for c in _formula_route(g, 10)[2])
+        return proven_at(10)(g) and hk_not_s2(g) is None and any(c & (c - 1) for c in module_covers(g, 10))
 
     draw, g = draw_graph(20, wanted, 2000)
     assert draw is not None, "no proven graph with |C(x)| >= 2 in 2,000 draws"
@@ -478,13 +479,7 @@ def mixed_at(bound):
     """Whether Lemma 2 leaves some module generator of a graph open at
     ``bound`` while another has a certifying vertex, as a ``draw_graph``
     filter."""
-    def wanted(g):
-        if not any(sum(x) <= bound for x in normalization_generators(g)):
-            return False
-        _, _, covers, opened = _formula_route(g, bound)
-        return bool(opened) and any(covers)
-
-    return wanted
+    return lambda g: opens(g, bound) and any(module_covers(g, bound))
 
 
 @pytest.mark.parametrize("seed, draw", [(0, 2391), (1, 1472), (5, 1838), (6, 17)])
