@@ -6,8 +6,8 @@ sums of edge vectors rho(e); its saturation Sbar is the intersection of
 the rational edge cone with the edge lattice.  Cone membership is one
 integer max-flow (``in_cone``) and lattice membership a closed form
 (``in_lattice``), for every connected graph.  Membership in S is decided
-by exhaustive backtracking, down to a complete table of edge sums where
-gap enumeration supplies one, so a negative answer is definitive.
+by exhaustive backtracking down to the zero vector, so a negative answer
+is definitive.
 """
 
 from __future__ import annotations
@@ -87,24 +87,14 @@ def cycle_indicator(g: Graph, cycle: tuple[int, ...]) -> Vector:
 
 class _EdgeSumSearch:
     """Exact decision procedure for membership in the monoid generated by
-    the edge vectors of a ``Graph`` on labels 1..d (for a facet, the graph
-    of its on-facet edges on all d vertices), with a failure memo and an
-    optional table of edge sums.
+    the edge vectors of a ``Graph`` on labels 1..d, with a failure memo.
+    ``Cone.engine`` is the one instance the library builds.
 
     Search: a nonzero vector x is a sum of edge vectors only if some edge
     covers the lowest-labeled vertex v with x_v > 0, and that edge's
     other endpoint w has x_w > 0 too.  So x is a member iff x - rho(v, w)
-    is one for some such edge; branching over those edges is complete.
-
-    Table: given ``levels``, where ``levels[k]`` is the dict of
-    ``_edge_sum_levels``, keyed by every sum of exactly k edge vectors, a
-    vector of degree 2k with k < len(levels) is a member iff it is a key
-    of ``levels[k]``: the table is the whole monoid in those degrees, by
-    construction.  The branching above runs only until the degree falls
-    into the table.  Without ``levels`` the table is just the zero vector,
-    as in the engine ``Cone.engine`` shares; where some module generator
-    is open, ``_gap_formula`` builds its own engine over a table for the
-    open candidates, which goes when the call ends.
+    is one for some such edge; branching over those edges is complete,
+    and it ends at the zero vector, the empty sum.
 
     Prune: at the root of each top-level ``decide`` (never inside the
     recursion) ``mask_components`` splits the positive-support subgraph
@@ -117,13 +107,13 @@ class _EdgeSumSearch:
     few patterns (84 among 245k candidates of the largest d=10 theorem
     graph), and the engine's edges never change, so an entry is valid
     across calls.  Root rejections are not memoized.  Inner nodes that
-    fail go into ``failed``; a failed vector is a non-member whatever
-    the table, so the memo stays valid across calls.
+    fail go into ``failed``; a failed vector is a non-member for good,
+    so the memo stays valid across calls.
     """
 
-    __slots__ = ("graph", "d", "incident", "failed", "levels", "support")
+    __slots__ = ("graph", "d", "incident", "failed", "support")
 
-    def __init__(self, g: Graph, levels: list[dict[Vector, int]] | None = None):
+    def __init__(self, g: Graph):
         self.graph = g
         self.d = d = _require_full(g)
         incident: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(1, d + 1)}
@@ -133,7 +123,6 @@ class _EdgeSumSearch:
             incident[j].append((i, e))
         self.incident = {v: tuple(sorted(lst)) for v, lst in incident.items()}
         self.failed: set[Vector] = set()
-        self.levels = levels or [{tuple([0] * d): 0}]
         self.support: dict[tuple[bool, ...], tuple[tuple[int, ...], ...] | None] = {}
 
     def _prune(self, x: Vector) -> bool:
@@ -156,20 +145,17 @@ class _EdgeSumSearch:
         return tuple(groups)
 
     def decide(self, x: Vector) -> bool:
-        """Membership of x; the prune runs here, once, above the table.
+        """Membership of x; the prune runs here, once, then the search.
 
         x must be nonnegative; this is not checked.  ``in_S`` checks signs
         first, and gap candidates are sums of nonnegative vectors.
         """
-        deg = sum(x)
-        if deg // 2 >= len(self.levels) and not self._prune(x):
-            return False
-        return self._search(x, deg)
+        return self._prune(x) and self._search(x, sum(x))
 
     def _search(self, x: Vector, deg: int) -> bool:
         """Membership of a nonnegative x of degree deg, without the prune."""
-        if deg // 2 < len(self.levels):
-            return x in self.levels[deg // 2]
+        if not deg:
+            return True
         if x in self.failed:
             return False
         v = next(u for u in range(self.d) if x[u] > 0) + 1
@@ -453,12 +439,13 @@ class Cone:
     of ``facets._facet_from_normal``, as v is the one bipartite component
     of the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
     ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
-    ``engine``: the shared ``_EdgeSumSearch(g)``, with no table.
-    ``quotient(f)``: the ``_FacetQuotient`` of ``serre.in_localization``,
-    built once per facet.  ``certified``: each gap element alpha with C(alpha)
-    nonempty that ``_gap_formula`` has listed, mapped to the lowest vertex
-    of C(alpha), a fact of alpha alone (Lemma 1 there), so ``classify``
-    reads it instead of scanning ``certifying``.
+    ``engine``: the library's one ``_EdgeSumSearch(g)``, for ``in_S`` and
+    every step of ``_gap_formula``.  ``quotient(f)``: the ``_FacetQuotient``
+    of ``serre.in_localization``, built once per facet.  ``certified``:
+    each gap element alpha with C(alpha) nonempty that ``_gap_formula`` has
+    listed, mapped to the lowest vertex of C(alpha), a fact of alpha alone
+    (Lemma 1 there), so ``classify`` reads it instead of scanning
+    ``certifying``.
     """
 
     def __init__(self, g: Graph):
@@ -528,28 +515,30 @@ def _module_generators(engine: _EdgeSumSearch, gens: list[Vector], degree_bound:
     return module
 
 
-def _covers_in_S(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: int) -> bool:
+def _open_covers(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: int) -> list[Vector]:
     """Step C of ``_gap_formula`` for x with C(x) = ``cover``: depth-first,
     the lowest vertex of C(x) that no chosen edge meets branches over its
-    edges; each final vector of degree <= degree_bound is decided once."""
-    seen: set[Vector] = set()
+    edges; each final vector of degree <= degree_bound is decided once, and
+    those outside S are returned, in the order found.  With C(x) empty the
+    only cover is x itself."""
+    member: dict[Vector, bool] = {}
 
-    def grow(vec: Vector, left: int, deg: int) -> bool:
-        if deg > degree_bound or (not left and vec in seen):
-            return True
+    def grow(vec: Vector, left: int, deg: int) -> None:
+        if deg > degree_bound:
+            return
         if not left:
-            seen.add(vec)
-            return engine.decide(vec)
+            if vec not in member:
+                member[vec] = engine.decide(vec)
+            return
         v = (left & -left).bit_length() - 1
         for w, (i, j) in engine.incident[v]:
             child = list(vec)
             child[i - 1] += 1
             child[j - 1] += 1
-            if not grow(tuple(child), left & ~(1 << v | 1 << w), deg + 2):
-                return False
-        return True
+            grow(tuple(child), left & ~(1 << v | 1 << w), deg + 2)
 
-    return grow(x, cover, sum(x))
+    grow(x, cover, sum(x))
+    return [vec for vec, yes in member.items() if not yes]
 
 
 def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound: int) -> dict[Vector, int]:
@@ -579,8 +568,8 @@ def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound:
 
 def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     """Formula route: the gap of degree <= b = degree_bound, read off
-    Lemma 2 per module generator x, with a search only where it leaves x
-    open.
+    Lemma 2 per module generator x, and grown from Step C's failed covers
+    where it leaves x open.
 
     Gamma: the ``normalization_generators`` of degree <= b, so Sbar =
     S + sum N.gamma (Ohsugi and Hibi, J. Algebra 207, 1998).  C(x): the
@@ -592,10 +581,10 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     partial sum is in S or m + S, by induction, as gamma and each m +
     gamma were kept in M, or found in S or in m' + S.  So x + beta, x in
     M, beta in S of degree <= b - deg(x), covers the gap.
-    Step C (``_covers_in_S``) for x with C(x) nonempty: choosing an edge
-    at each vertex of C(x) that no chosen edge meets yet, x + sum_E rho(e)
-    is in S or of degree > b.  x is *open* when C(x) is empty or Step C
-    fails.
+    Step C (``_open_covers``): choosing an edge at each vertex of C(x)
+    that no chosen edge meets yet gives a cover x + sum_E rho(e); with
+    C(x) empty, x is its only cover.  A cover of degree <= b outside S
+    has *failed*, and x is *open* when one has.
 
     Lemma 1.  For any x >= 0 and beta in S, C(x + beta) = C(x) minus
     supp(beta), and at each v in C(x + beta) the first component of G
@@ -607,23 +596,31 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     Lemma 2, for one x in M and beta in S.  (i) If beta_v = 0 for some v
     in C(x), x + beta keeps an odd component of G minus v (Lemma 1): it is
     in the gap, and v certifies it (``serre.vertex_parity_certificate``).
-    (ii) If beta is positive on C(x) and Step C holds for x, Step C can
-    choose edges of one decomposition of beta, all distinct, so x + beta
-    lies in (x + sum_E rho(e)) + S, inside S.  (iii) Otherwise x is open:
-    x + beta is decided by search, and C(x + beta) is empty (Lemma 1).
+    (ii) Seeds.  If beta is positive on C(x), Step C can pick distinct
+    edges E of one decomposition of beta that cover C(x), so x + beta =
+    (x + sum_E rho(e)) + beta' with beta' in S, and that cover has degree
+    <= deg(x + beta).  If x + beta is not in S, the cover failed.
+    (iii) Growth.  If y and y + rho(e_1) + ... +
+    rho(e_k) are not in S, no partial sum is in S, as adding the remaining
+    edges to a member gives a member.  So the non-members of y + S of
+    degree <= b are reached from y one edge at a time.
 
     Certified part (``_proven_gap``), for every x with C(x) nonempty.
     beta in S with beta_v = 0 is exactly an edge sum of G minus v, the
     semigroup S cap F_v of v's vertex facet.  Split (i) by the lowest v
     in C(x) where beta vanishes: the pieces are disjoint, and by Lemma 1
     v is the lowest vertex of C(x + beta), whichever x reaches it; it goes
-    into ``Cone.certified``.  Open part, only if some x is open: the
-    candidates (iii) are decided against a table of edge sums of G, on an
-    engine of this call's own, so the table goes when the call ends.
-    They have C empty, so none is certified, and ``Cone.certified`` holds
-    exactly the gap elements with C nonempty.  Steps A and C decide on the
-    table-free ``Cone.engine``.  S' = S is the (S2) criterion (Trung and
-    Hoa, Trans. AMS 298, 1986).
+    into ``Cone.certified``.  Open part: the failed covers of every x,
+    deduplicated, are the first frontier.  Each round adds every edge
+    vector to each frontier element of degree < b, and a new vector that
+    ``Cone.engine`` finds outside S joins the gap and the next frontier;
+    ``seen`` decides each vector once.  By (ii) and (iii) this reaches
+    every gap element x + beta with beta positive on C(x), and only gap
+    elements.  Each is positive on C(x), so its C is empty (Lemma 1): the
+    open part is exactly the uncertified gap, disjoint from the certified
+    part, and ``Cone.certified`` holds exactly the gap elements with C
+    nonempty.  S' = S is the (S2) criterion (Trung and Hoa, Trans. AMS
+    298, 1986).
     """
     gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
@@ -634,19 +631,14 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     found = _proven_gap(g, module, covers, degree_bound)
     c.certified.update(found)
     gap = list(found)
-    opened = [(x, cover) for x, cover in zip(module, covers)
-              if not cover or not _covers_in_S(c.engine, x, cover, degree_bound)]
-    if opened:
-        levels = _edge_sum_levels(g.n_vertices, g.edges, degree_bound - min(map(sum, gens)))
-        engine = _EdgeSumSearch(g, levels)
-        candidates = {
-            tuple(map(add, x, beta))
-            for x, cover in opened
-            for k in range((degree_bound - sum(x)) // 2 + 1)
-            for beta, supp in levels[k].items()
-            if supp & cover == cover
-        }
-        gap += (alpha for alpha in candidates if not engine.decide(alpha))
+    frontier = list(dict.fromkeys(
+        y for x, cover in zip(module, covers) for y in _open_covers(c.engine, x, cover, degree_bound)))
+    seen, steps = set(frontier), [rho_vector(g.n_vertices, e) for e in g.edges]
+    while frontier:
+        gap += frontier
+        grown = {tuple(map(add, y, r)) for y in frontier if sum(y) < degree_bound for r in steps} - seen
+        seen |= grown
+        frontier = [z for z in grown if not c.engine.decide(z)]
     gap.sort(key=lambda v: (sum(v), v))
     return gap
 

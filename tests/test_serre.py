@@ -61,6 +61,7 @@ from edgering.serre import (
 from test_cli import POOL_FILE
 from test_semigroup import (
     PARTIAL_PROOF_D9,
+    TWO_COVERS_D10,
     connected_nonbipartite,
     draw_graph,
     module_covers,
@@ -82,6 +83,10 @@ PAIR_CLIQUE_D10_REPORT_SHA256 = "158b068fee220bf425765f246e9c61b0180a65f5cdb1776
 # partial_proof_d9.graph, recorded before the gap stage applied Lemma 2
 # to each module generator on its own
 PARTIAL_PROOF_D9_REPORT_SHA256 = "24f09a3637460e5a1b4022dbde2c449d7135ee11f4ec7411470828a181d09eba"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# two_covers_d10.graph, recorded before the open part grew from Step C's
+# failed covers
+TWO_COVERS_D10_REPORT_SHA256 = "152bb90104fd6da841c5371a84e190240025f17936eb887ac6ff107aff1a6255"
 
 
 def vertex_facet(g, v):
@@ -464,14 +469,13 @@ def test_proven_route_with_two_certifying_vertices():
     assert any(to_mask(cone(g).certifying(alpha)) & (to_mask(cone(g).certifying(alpha)) - 1) for alpha in gap)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 2**32))
-def test_proven_route_on_random_graphs(seed):
-    """The first proven graph at bound 10 among 3,000 draws of
-    ``draw_graph(seed, ...)``, about one draw in 170: the gap equals
-    ``_gap_direct`` and the vertices reach ``classify`` as above."""
-    _, g = draw_graph(seed, proven_at(10), 3000)
-    assume(g is not None)
+@pytest.mark.parametrize("seed, draw", [(0, 416), (1, 19), (2, 34), (3, 123), (5, 80), (7, 19)])
+def test_proven_route_on_random_graphs(seed, draw):
+    """The first proven graph at bound 10 of ``draw_graph(seed, ...)``, a
+    graph HK does not refute: the gap equals ``_gap_direct`` and the
+    vertices reach ``classify`` as above."""
+    found, g = draw_graph(seed, proven_at(10), draw)
+    assert found == draw and hk_not_s2(g) is None
     assert check_proven_route(g, 10) == _gap_direct(g, 10)
 
 
@@ -671,6 +675,18 @@ def test_pair_clique_d10_report_at_default_bounds(monkeypatch):
     assert len(tests) <= 2015
 
 
+def test_pair_clique_d10_gap_grows_from_failed_covers(monkeypatch):
+    """No vertex certifies the gap of the d = 10 construction, so all of it
+    is grown from the failed covers of M = {m}: 10,929 decide calls at the
+    default bound for 2,002 gap elements, where deciding every candidate
+    m + beta over the edge sums of G took 61,625."""
+    decides, real = [], semigroup._EdgeSumSearch.decide
+    monkeypatch.setattr(semigroup._EdgeSumSearch, "decide", lambda self, x: decides.append(1) or real(self, x))
+    cone.cache_clear()
+    assert len(gap_elements(pair_clique_graph())) == 2002
+    assert len(decides) <= 10929, len(decides)
+
+
 def test_partial_proof_d9_report_at_default_bounds():
     """The 9-vertex graph whose module Lemma 2 closes only in part is S2
     at the default bounds: 1,782 gap elements, 1,287 certified by a vertex
@@ -684,6 +700,19 @@ def test_partial_proof_d9_report_at_default_bounds():
     assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive
     assert rep.gap_count == 1782 and len(rep.certificates) == 1287
     assert analyze_sha256(rep) == PARTIAL_PROOF_D9_REPORT_SHA256
+
+
+def test_two_covers_d10_report_at_default_bounds():
+    """The 10-vertex graph with a module generator of two failed covers
+    (``test_semigroup.test_two_failed_covers``) is S2 at the default
+    bounds: 5,434 gap elements, 4,004 certified by a vertex and the rest
+    excluded by the exact localization test.  The bytes `analyze` writes
+    are pinned; CI's `edgering analyze` reads the golden file."""
+    cone.cache_clear()
+    rep = classify(TWO_COVERS_D10)
+    assert rep.verdict == VERDICT_S2_VERIFIED and not rep.exhaustive
+    assert rep.gap_count == 5434 and len(rep.certificates) == 4004
+    assert analyze_sha256(rep) == TWO_COVERS_D10_REPORT_SHA256
 
 
 def exclusion_graphs():
