@@ -10,17 +10,18 @@ Exit codes: 0 success, 1 property violation, 2 bad input, 3 unsupported
 graph (disconnected, bipartite, or past the 16-vertex limit of
 fundamental set enumeration), 4 unknown verdict.  Reports are
 byte-deterministic for a given configuration; worker parallelism never
-changes the output.
+changes them, and a JSON report has the bytes of json.dumps(report,
+indent=2, sort_keys=True) plus a newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from .families import (
     FamilyGraph,
@@ -61,7 +62,45 @@ def _positive_int(text: str) -> int:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for what a report holds: dicts with str keys, lists, str, int, bool and
+    None; any other type, or key type, raises TypeError.  With ``indent``
+    set, json skips its C encoder for a pure-Python one, most of the time
+    of a large report, so the tests keep it only as the oracle of these bytes."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value`` to ``out``, a container's items each
+    after ``newline`` plus two spaces and its closing bracket after ``newline``."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is list and all(type(v) is int for v in value):
+        inner = newline + "  "
+        out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]" if value else "[]")
+    elif kind is list:
+        inner = newline + "  "
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif kind is dict:
+        inner = newline + "  "
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+        out.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"{kind.__name__} has no place in a report")
 
 
 def _emit(text: str, output: str | None) -> None:

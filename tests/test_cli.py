@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers
 from edgering import cli
@@ -17,6 +19,22 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_D9_TSV = GOLDEN / "verify_theorem_d9.tsv"
 # analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
+# SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
+# pool graph 0 (``localization_graph``), recorded before the exact
+# localization test was added
+POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b4816989d9d623"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# pair_clique_d10.graph, recorded before exclusion tried the last
+# excluding facet first
+PAIR_CLIQUE_D10_REPORT_SHA256 = "158b068fee220bf425765f246e9c61b0180a65f5cdb1776671b432dd60a7ce7c"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# partial_proof_d9.graph, recorded before the gap stage applied Lemma 2
+# to each module generator on its own
+PARTIAL_PROOF_D9_REPORT_SHA256 = "24f09a3637460e5a1b4022dbde2c449d7135ee11f4ec7411470828a181d09eba"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# two_covers_d10.graph, recorded before the open part grew from Step C's
+# failed covers
+TWO_COVERS_D10_REPORT_SHA256 = "152bb90104fd6da841c5371a84e190240025f17936eb887ac6ff107aff1a6255"
 # additions --a 3 --b 4 --max-extra 2 --format tsv
 ADDITIONS_34_TSV_SHA256 = "8493f5b6872415c41f95e182a9298289b8fb0f4a16795d24b0790a0db2e9dbbe"
 # additions --a 4 --b 4 --max-extra 4 JSON, the benchmark's refutation_additions size
@@ -304,15 +322,53 @@ def test_verify_theorem_d9_matches_golden(tmp_path):
     assert out.read_bytes() == GOLDEN_D9_TSV.read_bytes()
 
 
-def test_analyze_theorem_graph_report_bytes(tmp_path):
-    """The full report of one theorem graph (gap, certificates and all) at
-    the default bounds, pinned by its SHA-256."""
-    path = write_file(tmp_path / "d8n13.graph", graph_for_theorem(8, 13).graph)
+@pytest.mark.parametrize("name, digest", [
+    pytest.param("d8_n13", D8_N13_REPORT_SHA256, id="d8_n13"),
+    pytest.param("pool_graph_0", POOL_0_REPORT_SHA256, id="pool_graph_0"),
+    pytest.param("pair_clique_d10", PAIR_CLIQUE_D10_REPORT_SHA256, id="pair_clique_d10"),
+    pytest.param("partial_proof_d9", PARTIAL_PROOF_D9_REPORT_SHA256, id="partial_proof_d9"),
+    pytest.param("two_covers_d10", TWO_COVERS_D10_REPORT_SHA256, id="two_covers_d10"),
+])
+def test_analyze_report_bytes(tmp_path, name, digest):
+    """The full report (gap, certificates and all) at the default bounds,
+    16/12, pinned by its SHA-256: of the d=8, n=13 theorem graph and of
+    the four golden graphs whose digests tests/test_serre.py checks
+    through ``json.dumps``, the largest reports the CLI writes."""
+    if name == "d8_n13":
+        path = write_file(tmp_path / "d8n13.graph", graph_for_theorem(8, 13).graph)
+    else:
+        path = str(GOLDEN / f"{name}.graph")
     out = tmp_path / "report.json"
     proc = run_cli("analyze", "--degree-bound", "16", "--search-bound", "12",
                    "--input", path, "--output", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == D8_N13_REPORT_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# report text with quotes, backslashes, control, non-ASCII and non-BMP
+# characters and a lone surrogate
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\ud800\U0001f600') | st.characters(), max_size=8)
+json_ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_text | st.lists(st.booleans() | json_ints),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example({"b": [True, 1, False, 0], "a": {"c": [[{"d": []}], {}, [None, -(2**70)]]}, "": "\"\\\x01é\U0001f600"})
+@example([[[[[2**64, -1]]]], [], {}])
+def test_dump_json_matches_json_dumps(value):
+    """The report writer against ``json.dumps``, its oracle, byte for byte."""
+    assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value, kind", [(1.5, "float"), ((1, 2), "tuple"), ({1}, "set"), ({1: "a"}, "int")],
+                         ids=["float", "tuple", "set", "int_key"])
+def test_dump_json_rejects_types_no_report_holds(value, kind):
+    with pytest.raises(TypeError, match=kind):
+        cli._dump_json({"rows": [value]})
 
 
 def test_localization_pool_reports_at_8_8(tmp_path, capsys):

@@ -58,7 +58,13 @@ from edgering.serre import (
     in_SF_bounded,
     vertex_parity_certificate,
 )
-from test_cli import POOL_FILE
+from test_cli import (
+    PAIR_CLIQUE_D10_REPORT_SHA256,
+    PARTIAL_PROOF_D9_REPORT_SHA256,
+    POOL_0_REPORT_SHA256,
+    POOL_FILE,
+    TWO_COVERS_D10_REPORT_SHA256,
+)
 from test_semigroup import (
     PARTIAL_PROOF_D9,
     TWO_COVERS_D10,
@@ -71,22 +77,6 @@ from test_semigroup import (
 )
 
 ALPHA = (1, 1, 1, 0, 1, 1, 1)
-# SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
-# pool graph 0 (``localization_graph``), recorded before the exact
-# localization test was added
-POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b4816989d9d623"
-# SHA-256 of the default-bounds `analyze` report of tests/golden/
-# pair_clique_d10.graph, recorded before exclusion tried the last
-# excluding facet first
-PAIR_CLIQUE_D10_REPORT_SHA256 = "158b068fee220bf425765f246e9c61b0180a65f5cdb1776671b432dd60a7ce7c"
-# SHA-256 of the default-bounds `analyze` report of tests/golden/
-# partial_proof_d9.graph, recorded before the gap stage applied Lemma 2
-# to each module generator on its own
-PARTIAL_PROOF_D9_REPORT_SHA256 = "24f09a3637460e5a1b4022dbde2c449d7135ee11f4ec7411470828a181d09eba"
-# SHA-256 of the default-bounds `analyze` report of tests/golden/
-# two_covers_d10.graph, recorded before the open part grew from Step C's
-# failed covers
-TWO_COVERS_D10_REPORT_SHA256 = "152bb90104fd6da841c5371a84e190240025f17936eb887ac6ff107aff1a6255"
 
 
 def vertex_facet(g, v):
