@@ -7,7 +7,6 @@ from .cycles import (
     ExceptionalPair,
     OddCycle,
     exceptional_pairs,
-    has_bridge,
     minimal_odd_cycles,
     satisfies_odd_cycle_condition,
 )
@@ -21,13 +20,11 @@ from .facets import (
 )
 from .families import (
     FamilyGraph,
-    RemovalSchedule,
     add_cross_edges,
     build_gab,
     cross_pairs,
     family_graph,
     graph_for_theorem,
-    in_set_A,
     max_family_edges,
     max_theorem_edges,
     removal_schedule,
@@ -39,27 +36,21 @@ from .graph import (
     GraphFormatError,
     UnsupportedGraphError,
     VertexSet,
-    bipartition,
     connected_components,
     delete_vertex,
-    induced_bipartite_graph,
-    induced_subgraph,
     is_connected,
-    neighborhood,
     parse_graph,
     write_graph,
 )
 from .semigroup import (
     MembershipWitness,
     Vector,
-    cycle_indicator,
     gap_elements,
     in_S,
     in_cone,
     in_lattice,
     in_sbar,
     normalization_generators,
-    rho,
 )
 from .serre import (
     BoundedMembership,

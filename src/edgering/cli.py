@@ -287,7 +287,7 @@ def _cmd_family(args) -> int:
     else:
         raise ValueError("need --d/--n or --a/--b")
     n = fam.graph.n_edges
-    removed = removal_schedule(fam.a, fam.b).steps[: max_family_edges(fam.a, fam.b) - n]
+    removed = removal_schedule(fam.a, fam.b)[: max_family_edges(fam.a, fam.b) - n]
     _emit(write_graph(fam.graph), args.output)
     if args.output:
         sidecar = {

@@ -22,28 +22,6 @@ class ExceptionalPair(NamedTuple):
     second: OddCycle
 
 
-def is_cycle_of(g: Graph, cycle: tuple[int, ...]) -> bool:
-    """True when the tuple walks a simple cycle of G (length >= 3)."""
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    if not set(cycle) <= g.vertex_set:
-        return False
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
-
-def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
-    """True when no edge of G joins two non-consecutive cycle vertices."""
-    k = len(cycle)
-    for a in range(k):
-        for b in range(a + 2, k):
-            if a == 0 and b == k - 1:
-                continue
-            if g.has_edge(cycle[a], cycle[b]):
-                return False
-    return True
-
-
 def _extend(masks, s, path, path_mask, chords, out) -> None:
     # Invariants: path[0] == s is the smallest vertex, interior vertices
     # are pairwise non-adjacent except consecutively, no interior vertex
@@ -74,18 +52,6 @@ def minimal_odd_cycles(g: Graph) -> tuple[OddCycle, ...]:
         for u in bits(masks[s] & -(2 << s)):
             _extend(masks, s, [s, u], 1 << s | 1 << u, 0, out)
     return tuple(sorted(out, key=lambda c: (len(c), c)))
-
-
-def has_bridge(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    """True when some edge of G joins a vertex of c1 to a vertex of c2.
-
-    The cycles must be vertex-disjoint.
-    """
-    s1, s2 = set(c1), set(c2)
-    if s1 & s2:
-        raise ValueError("cycles share a vertex; bridge is undefined")
-    adj = g.adjacency
-    return any(v in adj[u] for u in s1 for v in s2)
 
 
 def exceptional_pairs(g: Graph) -> tuple[ExceptionalPair, ...]:

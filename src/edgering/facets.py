@@ -25,7 +25,7 @@ from .graph import (
     delete_vertex,  # not called here; the benchmark's tracer counts calls through facets.delete_vertex
     mask_components,
     mask_neighbors,
-    neighborhood,
+    to_mask,
 )
 
 VERTEX_KIND = "vertex"
@@ -192,7 +192,9 @@ def facets(g: Graph) -> tuple[Facet, ...]:
     first (ascending vertex) then fundamental kind (by size, then T).
 
     Needs a connected graph with an odd cycle and labels 1..d; raises
-    UnsupportedGraphError otherwise.  Duplicate normals are merged.
+    UnsupportedGraphError otherwise.  No two normals are equal: T is
+    independent, so it is exactly the set of -1 entries of its normal,
+    and a vertex normal has no -1.
     """
     if not g.is_contiguous:
         raise ValueError("facet computation needs labels exactly 1..d")
@@ -203,16 +205,13 @@ def facets(g: Graph) -> tuple[Facet, ...]:
         raise UnsupportedGraphError("edge cone facet structure needs at least one odd cycle")
     d = g.n_vertices
     out: list[Facet] = []
-    seen: set[tuple[int, ...]] = set()
-    for v in g.vertices:  # distinct unit normals; a fundamental normal has a -1
+    for v in g.vertices:
         if is_regular_vertex(g, v):
             out.append(_facet_from_normal(g, VERTEX_KIND, (v,), tuple(int(u == v) for u in range(1, d + 1))))
     for t in fundamental_sets(g):
-        nset = neighborhood(g, t)
-        normal = tuple(1 if u in nset else (-1 if u in t else 0) for u in range(1, d + 1))
-        if normal in seen:
-            continue
-        seen.add(normal)
+        tmask = to_mask(t)
+        nmask = mask_neighbors(g, tmask)
+        normal = tuple((nmask >> u & 1) - (tmask >> u & 1) for u in range(1, d + 1))
         out.append(_facet_from_normal(g, FUNDAMENTAL_KIND, tuple(sorted(t)), normal))
     return tuple(out)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, as_integer, integer_vector
+from .graph import Edge, Graph, as_integer
 
 # sanity bound matching the rest of the package; schedules stay small
 _MAX_SIDE = 32
@@ -56,23 +56,6 @@ class FamilyGraph:
         return dict(zip(names, range(1, self.a + self.b + 2)))
 
 
-@dataclass(frozen=True)
-class RemovalSchedule:
-    """Ordered edge removals, u-phase then v-phase."""
-
-    a: int
-    b: int
-    u_phase: tuple[Edge, ...]
-    v_phase: tuple[Edge, ...]
-
-    @property
-    def steps(self) -> tuple[Edge, ...]:
-        return self.u_phase + self.v_phase
-
-    def __len__(self) -> int:
-        return len(self.u_phase) + len(self.v_phase)
-
-
 def _check_ab(a: int, b: int) -> tuple[int, int]:
     """(a, b) as ints (``as_integer``), checked against 3 <= a <= b <= 32."""
     a, b = as_integer(a, "side size a"), as_integer(b, "side size b")
@@ -113,17 +96,15 @@ def _edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def removal_schedule(a: int, b: int) -> RemovalSchedule:
-    """The canonical thinning order: for i = 1..a-3 drop the hub edge to
-    u_i and then the edges u_i u_j for j = i+1..a-1, finishing with the
-    hub edges to u_{a-2} and u_{a-1}; then the same pattern on the
-    v-side.  Edges u_i u_a are never removed, so each side stays
-    connected through its last vertex.
+def removal_schedule(a: int, b: int) -> tuple[Edge, ...]:
+    """The canonical thinning order, as a tuple of edges: for i = 1..a-3
+    drop the hub edge to u_i and then the edges u_i u_j for j = i+1..a-1,
+    finishing with the hub edges to u_{a-2} and u_{a-1} (the u-phase);
+    then the same pattern on the v-side (the v-phase).  Edges u_i u_a are
+    never removed, so each side stays connected through its last vertex.
     """
     a, b = _check_ab(a, b)
-    u_phase = _phase(a + 1, list(range(1, a + 1)))
-    v_phase = _phase(a + 1, list(range(a + 2, a + b + 2)))
-    sched = RemovalSchedule(a, b, tuple(u_phase), tuple(v_phase))
+    sched = tuple(_phase(a + 1, list(range(1, a + 1))) + _phase(a + 1, list(range(a + 2, a + b + 2))))
     expected = max_family_edges(a, b) - (a + b + 2)
     if len(sched) != expected:  # pragma: no cover - structural self-check
         raise AssertionError(f"schedule length {len(sched)} != {expected}")
@@ -142,7 +123,7 @@ def family_graph(a: int, b: int, n: int) -> FamilyGraph:
             f"edge count n={n} outside the valid interval [{d + 1}, {full}] for (a, b)=({a}, {b})"
         )
     fam = build_gab(a, b)
-    removed = set(removal_schedule(a, b).steps[: full - n])
+    removed = set(removal_schedule(a, b)[: full - n])
     pairs = [e for e in fam.graph.edges if e not in removed]
     return FamilyGraph(Graph.from_edge_list(d, pairs), a, b)
 
@@ -263,14 +244,3 @@ def cross_edge_orbits(fam: FamilyGraph, max_extra: int) -> list[int]:
                     rep[y] = x
                     stack.append(y)
     return rep
-
-
-def in_set_A(fam: FamilyGraph, x) -> bool:
-    """Membership in the exclusion set A: zero at the hub and odd
-    coordinate sums on both sides."""
-    vec = integer_vector(x, fam.graph.n_vertices)
-    if vec[fam.w - 1] != 0:
-        return False
-    u_sum = sum(vec[v - 1] for v in fam.u_side)
-    v_sum = sum(vec[v - 1] for v in fam.v_side)
-    return u_sum % 2 == 1 and v_sum % 2 == 1

@@ -1,9 +1,9 @@
 """Labeled simple graphs with a canonical edge order.
 
-Vertices are positive integer labels.  A graph built by
-``Graph.from_edge_list`` carries labels exactly 1..d; vertex deletion and
-induced subgraphs keep the original labels, so derived graphs may have
-gaps in their label set.  All operations are pure and deterministic.
+Vertices are positive integer labels: exactly 1..d from
+``Graph.from_edge_list``, with gaps after ``delete_vertex``, which keeps
+labels.  The library reads a graph through one representation, the
+neighbour bitmasks ``Graph.masks``.  All operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -121,14 +121,6 @@ class Graph:
         return frozenset(self.vertices)
 
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks indexed by label: bit u of ``masks[v]`` is set
         when uv is an edge.  Bits are the labels themselves, so graphs with
@@ -144,11 +136,9 @@ class Graph:
         """Bitmask of the vertex labels."""
         return to_mask(self.vertices)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency.get(i, frozenset())
+        masks = self.masks
+        return 0 <= i < len(masks) and j >= 0 and bool(masks[i] >> j & 1)
 
     @cached_property
     def is_contiguous(self) -> bool:
@@ -168,32 +158,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         raise ValueError("cannot delete the only vertex")
     edges = tuple(e for e in g.edges if v not in e)
     return Graph(verts, edges)
-
-
-def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
-    """Induced subgraph on the given nonempty vertex subset, labels kept."""
-    sub = frozenset(subset)
-    if not sub:
-        raise ValueError("vertex subset is empty")
-    if not sub <= g.vertex_set:
-        raise ValueError(f"subset {sorted(sub)} not contained in the vertex set")
-    verts = tuple(v for v in g.vertices if v in sub)
-    edges = tuple(e for e in g.edges if e[0] in sub and e[1] in sub)
-    return Graph(verts, edges)
-
-
-def neighborhood(g: Graph, t: Iterable[int]) -> VertexSet:
-    """N(G; T): all vertices adjacent to some member of T.
-
-    The result may intersect T when T is not independent.
-    """
-    tset = frozenset(t)
-    if not tset <= g.vertex_set:
-        raise ValueError(f"subset {sorted(tset)} not contained in the vertex set")
-    out: set[int] = set()
-    for v in tset:
-        out |= g.adjacency[v]
-    return frozenset(out)
 
 
 def as_integer(value, name: str) -> int:
@@ -290,45 +254,14 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """True when G has one component.  A connected graph on d vertices has
+    at least d - 1 edges, so a sparser one is refused with no traversal."""
+    return g.n_edges >= g.n_vertices - 1 and len(connected_components(g)) == 1
 
 
-def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
-    """The two color classes of a connected graph, or None if an odd
-    cycle exists.  The class containing the smallest vertex comes first.
-    """
-    comps = mask_components(g, g.vertex_mask)
-    if len(comps) != 1:
-        raise ValueError("bipartition needs a connected graph")
-    comp, even = comps[0]
-    return None if even is None else (frozenset(bits(even)), frozenset(bits(comp & ~even)))
-
-
-def contains_odd_cycle(g: Graph, subset: Iterable[int] | None = None) -> bool:
-    """True when the induced subgraph on ``subset`` (default: all of G)
-    is not 2-colorable, i.e. contains an odd cycle."""
-    h = g if subset is None else induced_subgraph(g, subset)
-    return any(even is None for _, even in mask_components(h, h.vertex_mask))
-
-
-def induced_bipartite_graph(g: Graph, t: Iterable[int]) -> Graph:
-    """Graph on T and N(G; T) keeping only the edges between T and N(G; T).
-
-    T must be independent; edges internal to N(G; T) are dropped, so the
-    result is bipartite by construction.
-    """
-    tset = frozenset(t)
-    if not tset:
-        raise ValueError("T is empty")
-    if not tset <= g.vertex_set:
-        raise ValueError(f"subset {sorted(tset)} not contained in the vertex set")
-    for i, j in g.edges:
-        if i in tset and j in tset:
-            raise ValueError(f"T is not independent: edge ({i}, {j}) inside T")
-    nset = neighborhood(g, tset)
-    verts = tuple(sorted(tset | nset))
-    edges = tuple(e for e in g.edges if (e[0] in tset) != (e[1] in tset))
-    return Graph(verts, edges)
+def contains_odd_cycle(g: Graph) -> bool:
+    """True when G is not 2-colourable, i.e. contains an odd cycle."""
+    return any(even is None for _, even in mask_components(g, g.vertex_mask))
 
 
 # -- text format -------------------------------------------------------
@@ -339,7 +272,10 @@ def induced_bipartite_graph(g: Graph, t: Iterable[int]) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the line-oriented graph format; raises GraphFormatError."""
+    """Parse the line-oriented graph format; raises GraphFormatError, with
+    the line where it has one, e.g. an endpoint outside 1..d.  A connected
+    graph on d vertices has at least d - 1 edges, so d > m + 1 raises
+    UnsupportedGraphError before any label is built, however large d is."""
     d = m = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -362,15 +298,20 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
             try:
-                pairs.append((int(fields[1]), int(fields[2])))
+                pair = int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: non-integer endpoint") from exc
+            if not all(1 <= v <= d for v in pair):
+                raise GraphFormatError(f"line {lineno}: endpoint outside label range 1..{d}")
+            pairs.append(pair)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r}")
     if d is None:
         raise GraphFormatError("missing 'p' header")
     if len(pairs) != m:
         raise GraphFormatError(f"header promises {m} edges, found {len(pairs)}")
+    if d > m + 1:
+        raise UnsupportedGraphError(f"graph with d={d} vertices and m={m} edges is disconnected (needs m >= d - 1)")
     try:
         return Graph.from_edge_list(d, pairs)
     except ValueError as exc:

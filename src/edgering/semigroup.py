@@ -20,7 +20,7 @@ from operator import add, ge, mul, sub
 
 import numpy as np
 
-from .cycles import ExceptionalPair, exceptional_pairs, is_cycle_of
+from .cycles import ExceptionalPair, exceptional_pairs
 from .facets import Facet, facets, generators_on_facet, regular_vertex_components
 from .graph import (
     Edge,
@@ -65,24 +65,6 @@ def _require_full(g: Graph) -> int:
 
 def _check_vector(g: Graph, x) -> Vector:
     return integer_vector(x, _require_full(g))
-
-
-def rho(g: Graph, e: Edge) -> Vector:
-    """Exponent vector of an edge of G."""
-    d = _require_full(g)
-    edge = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-    if edge not in g.edges:
-        raise ValueError(f"{e} is not an edge of the graph")
-    return rho_vector(d, edge)
-
-
-def cycle_indicator(g: Graph, cycle: tuple[int, ...]) -> Vector:
-    """0/1 vector supported on the vertices of an odd cycle of G."""
-    d = _require_full(g)
-    if len(cycle) % 2 == 0 or not is_cycle_of(g, cycle):
-        raise ValueError(f"{cycle} is not an odd cycle of the graph")
-    mem = set(cycle)
-    return tuple(1 if v in mem else 0 for v in range(1, d + 1))
 
 
 class _EdgeSumSearch:

@@ -27,6 +27,7 @@ from .graph import (
     Graph,
     UnsupportedGraphError,
     as_integer,
+    bits,
     contains_odd_cycle,
     is_connected,
     mask_components,
@@ -173,7 +174,7 @@ def _lattice_coefficients(h: Graph, x: list[int]) -> Counter:
         root = (comp & -comp).bit_length() - 1
         parent, depth, order = {root: root}, {root: 0}, [root]
         for u in order:
-            for w in sorted(h.adjacency[u]):
+            for w in bits(h.masks[u]):
                 if w not in parent:
                     parent[w], depth[w] = u, depth[u] + 1
                     order.append(w)

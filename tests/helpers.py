@@ -99,13 +99,64 @@ def random_connected_graph(rng: random.Random, d: int, bipartite: bool, p: float
     return Graph.from_edge_list(d, pairs)
 
 
+# -- adjacency-set graph operations -------------------------------------
+# Compact copies of operations the library no longer holds, as it reads a
+# graph only through its bitmasks; no argument checks.
+
+
+def adjacency(g: Graph) -> dict[int, set[int]]:
+    """Neighbour sets by label, read off ``g.edges``."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def induced_subgraph(g: Graph, subset) -> Graph:
+    sub = set(subset)
+    return Graph(tuple(v for v in g.vertices if v in sub), tuple(e for e in g.edges if sub.issuperset(e)))
+
+
+def neighborhood(g: Graph, t) -> frozenset[int]:
+    """N(G; T): every vertex adjacent to some member of T."""
+    adj = adjacency(g)
+    return frozenset(w for v in t for w in adj[v])
+
+
+def induced_bipartite_graph(g: Graph, t) -> Graph:
+    """T and N(G; T) with the edges between them, for an independent T."""
+    t = frozenset(t)
+    return Graph(tuple(sorted(t | neighborhood(g, t))), tuple(e for e in g.edges if (e[0] in t) != (e[1] in t)))
+
+
+def is_cycle_of(g: Graph, cycle) -> bool:
+    adj, k = adjacency(g), len(cycle)
+    return k >= 3 and len(set(cycle)) == k and all(cycle[i - 1] in adj.get(cycle[i], ()) for i in range(k))
+
+
+def is_chordless(g: Graph, cycle) -> bool:
+    adj, k = adjacency(g), len(cycle)
+    return not any(cycle[b] in adj[cycle[a]] for a, b in itertools.combinations(range(k), 2) if 1 < b - a < k - 1)
+
+
+def cycle_indicator(g: Graph, *cycles) -> tuple[int, ...]:
+    """The sum of the 0/1 vectors of the cycles: E_C + E_C' for (g, *pair)."""
+    return tuple(sum(v in c for c in cycles) for v in range(1, g.n_vertices + 1))
+
+
+def in_set_A(fam, x) -> bool:
+    """The exclusion set A of a family member: zero at the hub, odd sums on both sides."""
+    return x[fam.w - 1] == 0 and all(sum(x[v - 1] for v in side) % 2 for side in (fam.u_side, fam.v_side))
+
+
 # -- brute force odd cycle condition ----------------------------------
 
 
 def all_simple_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple odd cycle (not just chordless), one canonical tuple
     per cycle: smallest vertex first, smaller neighbor second."""
-    adj = g.adjacency
+    adj = adjacency(g)
     out: set[tuple[int, ...]] = set()
 
     def walk(path: list[int], members: set[int]) -> None:
@@ -130,7 +181,7 @@ def odd_cycle_condition_bruteforce(g: Graph) -> bool:
     """Direct check over all simple odd cycles: every vertex-disjoint
     pair must be joined by at least one edge."""
     cycles = all_simple_odd_cycles(g)
-    adj = g.adjacency
+    adj = adjacency(g)
     for c1, c2 in itertools.combinations(cycles, 2):
         s1, s2 = set(c1), set(c2)
         if s1 & s2:
@@ -397,7 +448,7 @@ def prune_reference(g: Graph, x) -> bool:
     """The component prune by a fresh traversal of the positive-support
     subgraph: False when a component has odd total demand or a support
     vertex has no neighbour in the support."""
-    adj = g.adjacency
+    adj = adjacency(g)
     pos = [v for v in range(1, g.n_vertices + 1) if x[v - 1] > 0]
     pos_set = set(pos)
     seen: set[int] = set()
@@ -493,8 +544,8 @@ def vertex_certificates_reference(g: Graph, alphas) -> list:
 # -- set-based references for the bitmask graph kernel -------------------
 #
 # The traversals the library ran before its graph routines moved onto
-# vertex bitmasks.  They build a Graph per subgraph and walk adjacency
-# sets, sharing no code with ``mask_components``.
+# vertex bitmasks.  They build a Graph per subgraph and walk the
+# ``adjacency`` sets above, sharing no code with the mask routines.
 
 
 def connected_components_reference(g: Graph) -> list[frozenset[int]]:
@@ -502,7 +553,7 @@ def connected_components_reference(g: Graph) -> list[frozenset[int]]:
     smallest member."""
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
-    adj = g.adjacency
+    adj = adjacency(g)
     for start in g.vertices:
         if start in seen:
             continue
@@ -522,7 +573,7 @@ def connected_components_reference(g: Graph) -> list[frozenset[int]]:
 def colour_class_reference(g: Graph, comp) -> frozenset[int] | None:
     """The colour class of min(comp) in a depth-first 2-colouring of the
     component ``comp``, or None when it has no 2-colouring."""
-    adj = g.adjacency
+    adj = adjacency(g)
     start = min(comp)
     color = {start: 0}
     stack = [start]
@@ -539,8 +590,6 @@ def colour_class_reference(g: Graph, comp) -> frozenset[int] | None:
 
 def contains_odd_cycle_reference(g: Graph, subset=None) -> bool:
     """No 2-colouring of some component of the induced subgraph."""
-    from edgering.graph import induced_subgraph
-
     h = g if subset is None else induced_subgraph(g, subset)
     return any(colour_class_reference(h, c) is None for c in connected_components_reference(h))
 
@@ -561,13 +610,11 @@ def fundamental_sets_reference(g: Graph) -> list[frozenset[int]]:
     """Fundamental sets from built subgraphs: every independent set T whose
     T-N(T) bipartite graph is connected and whose leftover components all
     have odd cycles, sorted by (size, sorted T)."""
-    from edgering.graph import induced_bipartite_graph, induced_subgraph, neighborhood
-
-    out = []
+    out, edges = [], set(g.edges)
     for size in range(1, g.n_vertices + 1):
         for cand in itertools.combinations(g.vertices, size):
             t = frozenset(cand)
-            if any(g.has_edge(i, j) for i, j in itertools.combinations(cand, 2)):
+            if edges.intersection(itertools.combinations(cand, 2)):
                 continue
             if len(connected_components_reference(induced_bipartite_graph(g, t))) != 1:
                 continue
@@ -583,21 +630,19 @@ def fundamental_sets_reference(g: Graph) -> list[frozenset[int]]:
 
 def minimal_odd_cycles_reference(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The chordless members of every simple odd cycle."""
-    from edgering.cycles import is_chordless
-
     return tuple(c for c in all_simple_odd_cycles(g) if is_chordless(g, c))
 
 
 def exceptional_pairs_reference(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Vertex-disjoint pairs of minimal odd cycles that ``has_bridge``
-    finds no edge between, in cycle order."""
-    from edgering.cycles import has_bridge, minimal_odd_cycles
+    """Vertex-disjoint pairs of minimal odd cycles with no edge between
+    them, in cycle order."""
+    from edgering.cycles import minimal_odd_cycles
 
-    cycles = minimal_odd_cycles(g)
+    adj = adjacency(g)
     return [
         (c1, c2)
-        for c1, c2 in itertools.combinations(cycles, 2)
-        if not set(c1) & set(c2) and not has_bridge(g, c1, c2)
+        for c1, c2 in itertools.combinations(minimal_odd_cycles(g), 2)
+        if not set(c1) & set(c2) and not any(v in adj[u] for u in c1 for v in c2)
     ]
 
 
@@ -607,8 +652,6 @@ def hk_not_s2_reference(g: Graph):
     off the pair and of G minus the closed neighbourhood of every
     fundamental set that misses the pair.  Returns (pair, checked
     vertices, checked sets) or None."""
-    from edgering.graph import induced_subgraph, neighborhood
-
     fsets = fundamental_sets_reference(g)
     for first, second in exceptional_pairs_reference(g):
         pv = set(first) | set(second)

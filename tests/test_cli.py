@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,16 @@ def test_analyze_parse_error(tmp_path):
     proc = run_cli("analyze", "--input", str(bad))
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
+
+
+def test_analyze_huge_header_is_unsupported_at_once(tmp_path, capsys):
+    """12 bytes claiming 10^12 vertices and no edge: exit 3 (a MemoryError
+    gave exit 1), in well under a second, naming d and m."""
+    (tmp_path / "huge.graph").write_text("p 1000000000000 0\n")
+    t0 = time.perf_counter()
+    assert cli.main(["analyze", "--input", str(tmp_path / "huge.graph")]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "d=1000000000000 vertices and m=0 edges" in capsys.readouterr().err
 
 
 def test_analyze_missing_file(tmp_path):

@@ -1,18 +1,9 @@
 import random
 
-import pytest
-
 import helpers
 from conftest import family_intermediates
-from edgering.cycles import (
-    exceptional_pairs,
-    has_bridge,
-    is_chordless,
-    is_cycle_of,
-    minimal_odd_cycles,
-    satisfies_odd_cycle_condition,
-)
-from edgering.graph import Graph, bipartition, is_connected
+from edgering.cycles import exceptional_pairs, minimal_odd_cycles, satisfies_odd_cycle_condition
+from edgering.graph import contains_odd_cycle
 
 
 def test_minimal_odd_cycles_glued_cliques(g33):
@@ -43,30 +34,19 @@ def test_canonical_form_and_chordlessness():
             assert len(c) % 2 == 1
             assert c[0] == min(c)
             assert c[1] < c[-1]
-            assert is_cycle_of(g, c)
-            assert is_chordless(g, c)
+            assert helpers.is_cycle_of(g, c)
+            assert helpers.is_chordless(g, c)
 
 
 def test_odd_cycle_exists_iff_not_bipartite():
     rng = random.Random(5)
     for _ in range(15):
         g = helpers.random_connected_nonbipartite(rng, p=0.4)
-        assert bipartition(g) is None
+        assert contains_odd_cycle(g)
         assert minimal_odd_cycles(g)
     c6 = helpers.cycle_graph(6)
-    assert bipartition(c6) is not None
+    assert not contains_odd_cycle(c6)
     assert not minimal_odd_cycles(c6)
-
-
-def test_has_bridge(g33):
-    g = Graph.from_edge_list(
-        7,
-        [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 4), (6, 7)],
-    )
-    assert has_bridge(g, (1, 2, 3), (4, 5, 6))
-    assert not has_bridge(g33.graph, (1, 2, 3), (5, 6, 7))
-    with pytest.raises(ValueError):
-        has_bridge(g33.graph, (1, 2, 3), (1, 2, 4))
 
 
 def test_exceptional_pairs(g33, g34):
@@ -110,10 +90,6 @@ def test_exceptional_pair_lands_in_gap():
     graphs += [helpers.random_connected_nonbipartite(rng, p=0.35) for _ in range(10)]
     for g in graphs:
         for pair in exceptional_pairs(g):
-            vec = tuple(
-                edgering.cycle_indicator(g, pair.first)[k]
-                + edgering.cycle_indicator(g, pair.second)[k]
-                for k in range(g.n_vertices)
-            )
+            vec = helpers.cycle_indicator(g, *pair)
             assert edgering.in_sbar(g, vec)
             assert edgering.in_S(g, vec) is None

@@ -15,7 +15,6 @@ from edgering.families import (
     cross_pairs,
     family_graph,
     graph_for_theorem,
-    in_set_A,
     max_family_edges,
     max_theorem_edges,
     removal_schedule,
@@ -31,7 +30,7 @@ def test_build_gab_shape(g33, g34):
     assert g33.w == 4
     assert g33.u_side == (1, 2, 3)
     assert g33.v_side == (5, 6, 7)
-    assert set(g.adjacency[4]) == {1, 2, 3, 5, 6, 7}
+    assert helpers.adjacency(g)[4] == {1, 2, 3, 5, 6, 7}
     assert g34.graph.n_vertices == 8
     assert g34.graph.n_edges == 16
     assert g34.w == 4
@@ -74,23 +73,16 @@ def test_max_edges():
 
 
 def test_removal_schedule_33():
-    sched = removal_schedule(3, 3)
-    assert sched.u_phase == ((1, 4), (2, 4))
-    assert sched.v_phase == ((4, 5), (4, 6))
-    assert sched.steps == ((1, 4), (2, 4), (4, 5), (4, 6))
-    assert len(sched) == 4
+    assert removal_schedule(3, 3) == ((1, 4), (2, 4), (4, 5), (4, 6))  # u-phase, then v-phase
 
 
 def test_removal_schedule_34():
-    sched = removal_schedule(3, 4)
-    assert sched.u_phase == ((1, 4), (2, 4))
-    assert sched.v_phase == ((4, 5), (5, 6), (5, 7), (4, 6), (4, 7))
+    assert removal_schedule(3, 4) == ((1, 4), (2, 4), (4, 5), (5, 6), (5, 7), (4, 6), (4, 7))
 
 
 def test_removal_schedule_44():
     sched = removal_schedule(4, 4)
-    assert sched.u_phase == ((1, 5), (1, 2), (1, 3), (2, 5), (3, 5))
-    assert sched.v_phase == ((5, 6), (6, 7), (6, 8), (5, 7), (5, 8))
+    assert sched == ((1, 5), (1, 2), (1, 3), (2, 5), (3, 5), (5, 6), (6, 7), (6, 8), (5, 7), (5, 8))
     assert len(sched) == max_family_edges(4, 4) - (4 + 4 + 2)
 
 
@@ -197,10 +189,10 @@ def test_cross_edge_orbits_need_the_full_member():
 
 
 def test_in_set_A(g33):
-    assert in_set_A(g33, (1, 1, 1, 0, 1, 1, 1))
-    assert not in_set_A(g33, (1, 1, 1, 1, 1, 1, 1))  # hub coordinate nonzero
-    assert not in_set_A(g33, (1, 1, 0, 0, 1, 1, 1))  # u side sum even
-    assert not in_set_A(g33, (1, 1, 1, 0, 1, 1, 0))  # v side sum even
+    assert helpers.in_set_A(g33, (1, 1, 1, 0, 1, 1, 1))
+    assert not helpers.in_set_A(g33, (1, 1, 1, 1, 1, 1, 1))  # hub coordinate nonzero
+    assert not helpers.in_set_A(g33, (1, 1, 0, 0, 1, 1, 1))  # u side sum even
+    assert not helpers.in_set_A(g33, (1, 1, 1, 0, 1, 1, 0))  # v side sum even
 
 
 @pytest.mark.parametrize("a,b", [(3, 3), (3, 4), (3, 5), (4, 4)])
@@ -219,7 +211,7 @@ def test_intermediate_invariants(a, b):
         cycles = minimal_odd_cycles(g)
         assert all(len(c) == 3 for c in cycles)
         # every minimal odd cycle touches the hub's neighborhood
-        nbrs = g.adjacency[hub]
+        nbrs = helpers.adjacency(g)[hub]
         for c in cycles:
             assert any(x in nbrs or x == hub for x in c)
 
@@ -242,7 +234,7 @@ def test_hub_edge_implies_later_side_edges(a, b):
 def test_persistent_side_edges():
     # edges into the last vertex of each side are never scheduled
     for a, b in [(3, 3), (3, 4), (4, 4), (3, 5)]:
-        sched = set(removal_schedule(a, b).steps)
+        sched = set(removal_schedule(a, b))
         fam = build_gab(a, b)
         for side in (fam.u_side, fam.v_side):
             last = side[-1]

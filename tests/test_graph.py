@@ -11,17 +11,15 @@ import helpers
 from edgering.graph import (
     Graph,
     GraphFormatError,
-    bipartition,
+    UnsupportedGraphError,
     connected_components,
     contains_odd_cycle,
     delete_vertex,
-    induced_bipartite_graph,
-    induced_subgraph,
     is_connected,
-    neighborhood,
     parse_graph,
     write_graph,
 )
+from edgering.serre import classify
 
 
 def test_from_edge_list_canonical_order():
@@ -46,7 +44,6 @@ def test_from_edge_list_rejects_bad_input():
 def test_isolated_vertices_allowed():
     g = Graph.from_edge_list(4, [(1, 2)])
     assert g.n_vertices == 4
-    assert g.degree(3) == 0
     assert not is_connected(g)
 
 
@@ -78,13 +75,20 @@ def test_delete_vertex_keeps_labels(g33):
     comps = connected_components(rest)
     assert [sorted(c) for c in comps] == [[1, 2, 3], [5, 6, 7]]
     for comp in comps:
-        sub = induced_subgraph(rest, comp)
+        sub = helpers.induced_subgraph(rest, comp)
         assert sub.n_edges == 3  # a triangle on each side
 
     path = Graph.from_edge_list(3, [(1, 2), (2, 3)])
     lonely = delete_vertex(path, 2)
     assert lonely.vertices == (1, 3)
     assert lonely.edges == ()
+
+
+def test_has_edge_matches_adjacency_sets():
+    """Label gaps, 0, negatives and labels past the last vertex included."""
+    g = delete_vertex(helpers.random_connected_nonbipartite(random.Random(4)), 2)
+    adj, labels = helpers.adjacency(g), range(-1, g.vertices[-1] + 3)
+    assert all(g.has_edge(i, j) == (j in adj.get(i, ())) for i in labels for j in labels)
 
 
 def test_delete_vertex_errors():
@@ -96,37 +100,10 @@ def test_delete_vertex_errors():
         delete_vertex(single, 1)
 
 
-def test_induced_subgraph(g33):
-    tri = induced_subgraph(g33.graph, {1, 2, 3})
-    assert tri == helpers.complete_graph(3)
-    with pytest.raises(ValueError):
-        induced_subgraph(g33.graph, set())
-    with pytest.raises(ValueError):
-        induced_subgraph(g33.graph, {1, 99})
-
-
 def test_delete_equals_induced_composition(g33):
     g = g33.graph
     for v in g.vertices:
-        assert delete_vertex(g, v) == induced_subgraph(g, g.vertex_set - {v})
-
-
-def test_neighborhood(g33):
-    g = g33.graph
-    assert neighborhood(g, {g33.w}) == frozenset({1, 2, 3, 5, 6, 7})
-    assert neighborhood(g, {1}) == frozenset({2, 3, 4})
-    # non-independent T: the neighborhood may intersect T
-    assert 2 in neighborhood(g, {1, 2})
-
-
-def test_neighborhood_monotone():
-    rng = random.Random(7)
-    g = helpers.random_connected_nonbipartite(rng)
-    verts = list(g.vertices)
-    for _ in range(20):
-        small = frozenset(rng.sample(verts, rng.randint(1, len(verts) - 1)))
-        big = small | {rng.choice(verts)}
-        assert neighborhood(g, small) <= neighborhood(g, big)
+        assert delete_vertex(g, v) == helpers.induced_subgraph(g, g.vertex_set - {v})
 
 
 def test_connected_components_partition():
@@ -149,36 +126,12 @@ def test_connected_components_partition():
         assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
 
-def test_bipartition():
-    path = Graph.from_edge_list(3, [(1, 2), (2, 3)])
-    assert bipartition(path) == (frozenset({1, 3}), frozenset({2}))
-    assert bipartition(helpers.complete_graph(3)) is None
-    c6 = helpers.cycle_graph(6)
-    assert bipartition(c6) == (frozenset({1, 3, 5}), frozenset({2, 4, 6}))
-    with pytest.raises(ValueError):
-        bipartition(Graph.from_edge_list(4, [(1, 2)]))
-
-
 def test_contains_odd_cycle():
     assert contains_odd_cycle(helpers.complete_graph(3))
     assert not contains_odd_cycle(helpers.cycle_graph(6))
     g = helpers.bowtie_graph()
-    assert contains_odd_cycle(g, {1, 2, 3})
-    assert not contains_odd_cycle(g, {3, 4})
-
-
-def test_induced_bipartite_graph(g33):
-    g = g33.graph
-    star = induced_bipartite_graph(g, {g33.w})
-    assert star.n_edges == 6
-    assert all(g33.w in e for e in star.edges)
-
-    double = induced_bipartite_graph(g, {1, 5})
-    assert double.n_edges == 6
-    assert sorted(double.edges) == [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (5, 7)]
-
-    with pytest.raises(ValueError):
-        induced_bipartite_graph(g, {1, 2})
+    assert contains_odd_cycle(helpers.induced_subgraph(g, {1, 2, 3}))
+    assert not contains_odd_cycle(helpers.induced_subgraph(g, {3, 4}))
 
 
 def test_format_round_trip(g33):
@@ -228,6 +181,18 @@ def test_parse_errors():
         parse_graph("p 3 1\np 3 1\ne 1 2\n")
     with pytest.raises(GraphFormatError):
         parse_graph("p x 1\ne 1 2\n")
+
+
+def test_sparse_header_is_unsupported_before_any_label():
+    """A connected graph on d vertices has at least d - 1 edges; an
+    endpoint past d names its line."""
+    with pytest.raises(UnsupportedGraphError, match="d=1000000000000 vertices and m=0 edges"):
+        parse_graph("p 1000000000000 0\n")
+    assert parse_graph("p 2 1\ne 1 2\n").n_vertices == 2  # d = m + 1 may be connected
+    with pytest.raises(GraphFormatError, match="line 2: endpoint outside label range 1..3"):
+        parse_graph("p 3 1\ne 1 4\n")
+    with pytest.raises(UnsupportedGraphError, match="connected graph"):
+        classify(Graph.from_edge_list(100000, []))  # is_connected refuses it with no traversal
 
 
 def test_writer_needs_contiguous_labels():

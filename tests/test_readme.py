@@ -1,12 +1,16 @@
 """The README "Library" example and the first two "Examples" commands
-run and give the results their comments state."""
+run and give the results their comments state, and its export list is
+the package's."""
 
 import ast
 import json
 import re
 import shlex
+from importlib import import_module
 from pathlib import Path
+from types import ModuleType
 
+import edgering
 from edgering import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,3 +60,13 @@ def test_readme_family_and_analyze_examples(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert comment.strip() == "NonNormalS2Verified, 462 gap elements"
     assert f"{report['verdict']}, {report['gap_count']} gap elements" == comment.strip()
+
+
+def test_readme_lists_the_exports():
+    """Each bullet of the export list is a module and the public names
+    ``edgering`` exports from it, all of them."""
+    text = re.search(r"^The package exports, by module:\n\n(.*?)\n\n", README.read_text(encoding="utf-8"), re.M | re.S)
+    listed = [re.findall(r"`(\w+)`", item) for item in text.group(1).split("\n- ")]
+    assert all(hasattr(import_module(f"edgering.{module}"), name) for module, *names in listed for name in names)
+    exported = {n for n, v in vars(edgering).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert sorted(name for _, *names in listed for name in names) == sorted(exported)

@@ -29,7 +29,6 @@ from edgering.families import (
     build_gab,
     family_graph,
     graph_for_theorem,
-    in_set_A,
     theorem_edge_range,
 )
 from edgering.graph import (
@@ -904,8 +903,7 @@ def test_cone_parity_is_the_vertex_facets(g, data):
     in_cone,
     lambda g, x: in_localization(g, vertex_facet(g, 4), x),
     lambda g, x: vertex_parity_certificate(g, 4, x),
-    lambda g, x: in_set_A(build_gab(3, 3), x),
-], ids=["in_S", "in_lattice", "in_cone", "in_localization", "vertex_parity_certificate", "in_set_A"])
+], ids=["in_S", "in_lattice", "in_cone", "in_localization", "vertex_parity_certificate"])
 def test_vectors_need_integer_coordinates(g33, call):
     """A float or a string coordinate is rejected, naming it, instead of
     being truncated or parsed; numpy integers are integers."""
