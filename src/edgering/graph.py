@@ -255,8 +255,15 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 def is_connected(g: Graph) -> bool:
     """True when G has one component.  A connected graph on d vertices has
-    at least d - 1 edges, so a sparser one is refused with no traversal."""
-    return g.n_edges >= g.n_vertices - 1 and len(connected_components(g)) == 1
+    at least d - 1 edges, so a sparser one is refused with no traversal;
+    otherwise one traversal from the lowest label must reach every vertex."""
+    if g.n_edges < g.n_vertices - 1:
+        return False
+    reached = frontier = g.vertex_mask & -g.vertex_mask
+    while frontier:
+        frontier = mask_neighbors(g, frontier) & ~reached
+        reached |= frontier
+    return reached == g.vertex_mask
 
 
 def contains_odd_cycle(g: Graph) -> bool:

@@ -12,6 +12,7 @@ is definitive.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -376,10 +377,40 @@ def normalization_generators(g: Graph) -> list[Vector]:
     return sorted(out)
 
 
-def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[dict[Vector, int]]:
+def _packing(d: int, degree_bound: int) -> struct.Struct:
+    """The packed form of a vector y in N^d of degree <= degree_bound, one
+    Python int: the big-endian fields (sum(y), y_1, ..., y_d), each of the
+    narrowest of 1, 2, 4 or 8 bytes that holds degree_bound.  Pack with
+    ``_pack``, unpack with ``_unpack``.  No width holds a bound >= 2**64;
+    ``check_degree_bound`` refuses one.
+
+    Lemma.  If sum(a + b) <= degree_bound, pack(a) + pack(b) = pack(a + b),
+    and packed ints compare as (degree, lex) order.  Proof.  Every field of
+    a + b is at most sum(a + b), so it fits its width: adding the two ints
+    adds field by field with no carry.  Big-endian fields of one fixed
+    width compare numerically as the tuples (sum(y), y) compare.
+    """
+    code = next(c for c in "BHIQ" if degree_bound < 1 << 8 * struct.calcsize(">" + c))
+    return struct.Struct(">" + code * (d + 1))
+
+
+def _pack(fmt: struct.Struct, y: Vector) -> int:
+    return int.from_bytes(fmt.pack(sum(y), *y), "big")
+
+
+def _unpack(fmt: struct.Struct, n: int) -> Vector:
+    return fmt.unpack(n.to_bytes(fmt.size, "big"))[1:]
+
+
+def _edge_sum_levels(
+    fmt: struct.Struct, d: int, edges: tuple[Edge, ...], max_degree: int
+) -> list[dict[int, int]]:
     """levels[k] maps each distinct sum of exactly k edge vectors, k <=
-    max_degree // 2, to its support mask (bit v for label v, as in
-    ``to_mask``).
+    max_degree // 2, packed by ``fmt`` = ``_packing(d, b)`` for some b >=
+    max_degree, to its support mask (bit v for label v, as in
+    ``to_mask``).  A child is its base plus the packed edge vector: one
+    int add, exact by the lemma of ``_packing``, as its degree is at most
+    max_degree.
 
     Canonical rule: a base of level k-1 whose lowest positive vertex is m
     (m = d + 1 for the zero vector) gains only the edges (u, w), u < w,
@@ -393,19 +424,16 @@ def _edge_sum_levels(d: int, edges: tuple[Edge, ...], max_degree: int) -> list[d
     x - rho(m, w) is in level k-1, and its lowest positive vertex is
     >= m, so the rule adds (m, w) to it and reaches x.
     """
-    levels: list[dict[Vector, int]] = [{tuple([0] * d): 0}]
-    steps = [(u, u - 1, w - 1, 1 << u | 1 << w) for u, w in sorted(edges)]
+    levels: list[dict[int, int]] = [{0: 0}]
+    steps = [(u, _pack(fmt, rho_vector(d, (u, w))), 1 << u | 1 << w) for u, w in sorted(edges)]
     for _ in range(max_degree // 2):
-        level: dict[Vector, int] = {}
+        level: dict[int, int] = {}
         for base, supp in levels[-1].items():
             m = (supp & -supp).bit_length() - 1 if supp else d + 1
-            for u, i, j, edge_mask in steps:
+            for u, edge, edge_mask in steps:
                 if u > m:
                     break
-                child = list(base)
-                child[i] += 1
-                child[j] += 1
-                level[tuple(child)] = supp | edge_mask
+                level[base + edge] = supp | edge_mask
         levels.append(level)
     return levels
 
@@ -523,24 +551,29 @@ def _open_covers(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: in
     return [vec for vec, yes in member.items() if not yes]
 
 
-def _proven_gap(g: Graph, module: list[Vector], covers: list[int], degree_bound: int) -> dict[Vector, int]:
-    """The certified gap by Lemma 2 of ``_gap_formula``, each element
-    mapped to the lowest vertex of its C: for each v, ascending, and each x
-    in M with v in C(x) = ``covers``, x + beta over the edge sums beta of
-    G minus v of degree <= b - deg(x) that are positive on C(x) below v.
+def _proven_gap(
+    g: Graph, fmt: struct.Struct, module: list[Vector], covers: list[int], degree_bound: int
+) -> dict[int, int]:
+    """The certified gap by Lemma 2 of ``_gap_formula``, packed by ``fmt``
+    = ``_packing(d, degree_bound)``, each element mapped to the lowest
+    vertex of its C: for each v, ascending, and each x in M with v in C(x)
+    = ``covers``, x + beta over the edge sums beta of G minus v of degree
+    <= b - deg(x) that are positive on C(x) below v.  Each x + beta is one
+    int add, exact by the lemma of ``_packing`` as its degree is <= b.
     The levels of G minus v are built once, for every x that uses v."""
     users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
     for i, cover in enumerate(covers):
         for v in bits(cover):
             users.setdefault(v, []).append(i)
-    found: dict[Vector, int] = {}
+    found: dict[int, int] = {}
     for v in sorted(users):
         edges = tuple(e for e in g.edges if v not in e)
-        levels = _edge_sum_levels(g.n_vertices, edges, degree_bound - min(sum(module[i]) for i in users[v]))
+        levels = _edge_sum_levels(fmt, g.n_vertices, edges, degree_bound - min(sum(module[i]) for i in users[v]))
         for i in users[v]:
             x, below = module[i], covers[i] & ((1 << v) - 1)
+            packed = _pack(fmt, x)
             found.update(
-                (tuple(map(add, x, beta)), v)
+                (packed + beta, v)
                 for k in range((degree_bound - sum(x)) // 2 + 1)
                 for beta, supp in levels[k].items()
                 if supp & below == below
@@ -607,21 +640,22 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     gens = [x for x in normalization_generators(g) if sum(x) <= degree_bound]
     if not gens:
         return []
-    c = cone(g)
+    c, fmt = cone(g), _packing(g.n_vertices, degree_bound)
     module = _module_generators(c.engine, gens, degree_bound)
     covers = [to_mask(c.certifying(x)) for x in module]
-    found = _proven_gap(g, module, covers, degree_bound)
-    c.certified.update(found)
-    gap = list(found)
+    found = _proven_gap(g, fmt, module, covers, degree_bound)
+    packed = list(found)
     frontier = list(dict.fromkeys(
         y for x, cover in zip(module, covers) for y in _open_covers(c.engine, x, cover, degree_bound)))
     seen, steps = set(frontier), [rho_vector(g.n_vertices, e) for e in g.edges]
     while frontier:
-        gap += frontier
+        packed += (_pack(fmt, y) for y in frontier)
         grown = {tuple(map(add, y, r)) for y in frontier if sum(y) < degree_bound for r in steps} - seen
         seen |= grown
         frontier = [z for z in grown if not c.engine.decide(z)]
-    gap.sort(key=lambda v: (sum(v), v))
+    packed.sort()
+    gap = [_unpack(fmt, n) for n in packed]
+    c.certified.update((y, v) for y, v in zip(gap, map(found.get, packed)) if v is not None)
     return gap
 
 
@@ -656,13 +690,25 @@ def _gap_direct(g: Graph, degree_bound: int) -> list[Vector]:
     return sorted(gap, key=lambda v: (sum(v), v))
 
 
+def check_degree_bound(degree_bound) -> int:
+    """degree_bound as an int; ValueError unless it is positive, even and
+    below 2**64, as no field width of ``_packing`` holds a larger one."""
+    degree_bound = as_integer(degree_bound, "degree bound")
+    if degree_bound <= 0 or degree_bound % 2 == 1:
+        raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
+    if degree_bound >= 2**64:
+        raise ValueError(f"degree bound must be below 2**64, the widest packed field, got {degree_bound}")
+    return degree_bound
+
+
 def gap_elements(g: Graph, degree_bound: int = DEGREE_BOUND) -> list[Vector]:
     """All members of Sbar minus S with coordinate sum <= degree_bound,
     by the one route, ``_gap_formula``.
 
     Args:
         g: connected graph with an odd cycle, labels 1..d.
-        degree_bound: positive even bound on the coordinate sum.
+        degree_bound: positive even bound on the coordinate sum, below
+            2**64 (``check_degree_bound``).
 
     Returns:
         Sorted list of gap vectors (by coordinate sum, then lex).
@@ -672,7 +718,4 @@ def gap_elements(g: Graph, degree_bound: int = DEGREE_BOUND) -> list[Vector]:
         raise UnsupportedGraphError("gap enumeration needs a connected graph")
     if not contains_odd_cycle(g):
         raise UnsupportedGraphError("gap enumeration needs at least one odd cycle")
-    degree_bound = as_integer(degree_bound, "degree bound")
-    if degree_bound <= 0 or degree_bound % 2 == 1:
-        raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
-    return _gap_formula(g, degree_bound)
+    return _gap_formula(g, check_degree_bound(degree_bound))

@@ -39,6 +39,7 @@ from .semigroup import (
     DEGREE_BOUND,
     Vector,
     _check_vector,
+    check_degree_bound,
     cone,
     gap_elements,
     in_lattice,
@@ -376,7 +377,7 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
 
     Args:
         g: connected graph with an odd cycle, labels 1..d.
-        degree_bound: bound on gap enumeration (positive even).
+        degree_bound: bound on gap enumeration (positive even, below 2**64).
         search_bound: validated (>= 0) and echoed in the report; it no
             longer affects the verdict, as every exclusion is exact.
 
@@ -389,10 +390,8 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
-    degree_bound = as_integer(degree_bound, "degree bound")
+    degree_bound = check_degree_bound(degree_bound)
     search_bound = as_integer(search_bound, "search bound")
-    if degree_bound <= 0 or degree_bound % 2 == 1:
-        raise ValueError(f"degree bound must be a positive even integer, got {degree_bound}")
     if search_bound < 0:
         raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     if not is_connected(g):

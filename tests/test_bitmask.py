@@ -15,6 +15,7 @@ from edgering.graph import (
     connected_components,
     contains_odd_cycle,
     delete_vertex,
+    is_connected,
     mask_components,
     to_mask,
 )
@@ -84,6 +85,14 @@ def test_mask_components_match_reference(g, data):
             want.append((to_mask(c), None if side is None else to_mask(side)))
     assert mask_components(g, to_mask(subset)) == want
     assert bits(to_mask(subset)) == sorted(subset)
+
+
+@SLOW
+@given(derived_graphs())
+def test_is_connected_matches_components(g):
+    """One traversal from the lowest label answers as counting every
+    component does, label gaps included."""
+    assert is_connected(g) == (len(connected_components(g)) == 1)
 
 
 @SLOW

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -124,6 +125,15 @@ def test_connected_components_partition():
             union |= c
         assert union == g.vertex_set
         assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+
+def test_is_connected_stops_at_the_first_component():
+    """20,000 disjoint triangles pass the edge-count check (d = m), and the
+    one traversal from vertex 1 ends after three vertices."""
+    g = Graph.from_edge_list(60000, [(3 * k + i, 3 * k + j) for k in range(20000) for i, j in ((1, 2), (1, 3), (2, 3))])
+    start = time.perf_counter()
+    assert not is_connected(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_contains_odd_cycle():

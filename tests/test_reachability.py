@@ -9,10 +9,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # Held until ROADMAP item 7 re-records the benchmark: perfbench/tracer.py
-# wraps facets.integer_rank (span linalg.integer_rank) and
-# facets.delete_vertex (span graph.delete_vertex), and _gap_direct is the
-# only numpy user, which perfbench/run.py's import.numpy.ms needs loaded.
-HELD = [("facets", "integer_rank"), ("graph", "delete_vertex"), ("semigroup", "_gap_direct")]
+# wraps facets.integer_rank (span linalg.integer_rank),
+# facets.delete_vertex (span graph.delete_vertex) and
+# graph.connected_components (span graph.connected_components), and
+# _gap_direct is the only numpy user, which perfbench/run.py's
+# import.numpy.ms needs loaded.
+HELD = [("facets", "integer_rank"), ("graph", "delete_vertex"), ("graph", "connected_components"),
+        ("semigroup", "_gap_direct")]
 
 
 def unreached() -> list[str]:

@@ -1,5 +1,6 @@
 import functools
 import random
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,9 @@ from edgering.semigroup import (
     _gap_direct,
     _module_generators,
     _nonnegative_vectors,
+    _pack,
+    _packing,
+    _unpack,
     cone,
     gap_elements,
     in_S,
@@ -309,8 +313,9 @@ def _formula_route(g, bound):
     """Module generators M, rebuilt on a fresh engine as the formula route
     builds them, and the edge sums of G: the candidates of ``plain_gap``."""
     gens = [x for x in normalization_generators(g) if sum(x) <= bound]
-    levels = _edge_sum_levels(g.n_vertices, g.edges, bound - min(map(sum, gens)))
-    return _module_generators(_EdgeSumSearch(g), gens, bound), levels
+    fmt = _packing(g.n_vertices, bound)
+    levels = _edge_sum_levels(fmt, g.n_vertices, g.edges, bound - min(map(sum, gens)))
+    return _module_generators(_EdgeSumSearch(g), gens, bound), [[_unpack(fmt, n) for n in lv] for lv in levels]
 
 
 def module_covers(g, bound):
@@ -325,8 +330,7 @@ class _OpenPart(Exception):
 def opens(g, bound):
     """Whether ``gap_elements(g, bound)`` leaves a module generator open:
     whether ``semigroup._open_covers`` returns a failed cover for some x.
-    The call stops there, after the certified part has gone into
-    ``Cone.certified``."""
+    The call stops there, before ``Cone.certified`` is filled."""
     real = semigroup._open_covers
 
     def spy(*args):
@@ -540,15 +544,41 @@ def test_module_generators_beyond_the_pairs():
     assert four in gap_elements(g, 12)
 
 
+@st.composite
+def packable(draw, bound):
+    """(a, b), two vectors of one length 1..12 with sum(a + b) <= bound."""
+    d, coords = draw(st.integers(1, 12)), []
+    for _ in range(2 * d):
+        coords.append(draw(st.integers(0, bound - sum(coords))))
+    coords = draw(st.permutations(coords))
+    return tuple(coords[:d]), tuple(coords[d:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([255, 256]).flatmap(lambda b: st.tuples(st.just(b), packable(b))))
+def test_packing_adds_and_orders(case):
+    """At bound 255 (1-byte fields) and 256 (2-byte fields): unpacking
+    inverts packing, pack(a) + pack(b) = pack(a + b) as sum(a + b) <=
+    bound, and packed ints order as (degree, lex)."""
+    bound, (a, b) = case
+    fmt = _packing(len(a), bound)
+    assert fmt.size == (len(a) + 1) * (1 if bound == 255 else 2)
+    pa, pb = _pack(fmt, a), _pack(fmt, b)
+    assert _unpack(fmt, pa) == a and _unpack(fmt, pb) == b
+    assert pa + pb == _pack(fmt, tuple(map(add, a, b)))
+    assert (pa < pb) == ((sum(a), a) < (sum(b), b))
+
+
 @settings(max_examples=25, deadline=None)
 @given(connected_nonbipartite(dmax=6))
 def test_edge_sum_levels_are_S_by_degree(g):
     d = g.n_vertices
-    levels = _edge_sum_levels(d, g.edges, 6)
+    fmt = _packing(d, 6)
+    levels = _edge_sum_levels(fmt, d, g.edges, 6)
     for k, level in enumerate(levels):
         degree_2k = (x for x in _nonnegative_vectors(d, 2 * k) if sum(x) == 2 * k)
         members = {x for x in degree_2k if in_S(g, x) is not None}
-        assert level.keys() == members
+        assert {_unpack(fmt, n) for n in level} == members
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -557,11 +587,13 @@ def test_edge_sum_levels_match_reference(g, max_degree):
     """The canonical rule reaches the same sums as adding every edge to
     every base, and each sum is stored with its support mask."""
     d = g.n_vertices
-    levels = _edge_sum_levels(d, g.edges, max_degree)
+    fmt = _packing(d, max_degree)
+    levels = _edge_sum_levels(fmt, d, g.edges, max_degree)
     reference = helpers.edge_sum_levels_reference(d, g.edges, max_degree)
-    assert [level.keys() for level in levels] == reference
+    assert [{_unpack(fmt, n) for n in level} for level in levels] == reference
     for level in levels:
-        for beta, supp in level.items():
+        for n, supp in level.items():
+            beta = _unpack(fmt, n)
             assert supp == to_mask(v for v, c in enumerate(beta, 1) if c), beta
 
 

@@ -334,6 +334,16 @@ def test_bounds_must_be_integers(g33):
     assert type(rep.search_bound) is int and rep.to_json_dict() == classify(g, 8, 4).to_json_dict()
 
 
+def test_degree_bound_fits_a_packed_field(g33):
+    """No field width of ``semigroup._packing`` holds a degree bound of
+    2**64 or more: ``classify`` and ``gap_elements`` refuse one at once,
+    before any stage."""
+    g = g33.graph
+    for call in (classify, gap_elements):
+        with pytest.raises(ValueError, match=re.escape("below 2**64")):
+            call(g, 2**64)
+
+
 def test_classify_rejects_unsupported():
     with pytest.raises(UnsupportedGraphError):
         classify(helpers.cycle_graph(6))
