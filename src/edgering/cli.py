@@ -17,6 +17,7 @@ indent=2, sort_keys=True) plus a newline.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
@@ -38,7 +39,6 @@ from .families import (
 from .graph import Graph, GraphFormatError, UnsupportedGraphError, parse_graph, write_graph
 from .semigroup import DEGREE_BOUND
 from .serre import (
-    SEARCH_BOUND,
     VERDICT_NORMAL,
     VERDICT_NOT_S2,
     VERDICT_S2_VERIFIED,
@@ -52,6 +52,10 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNKNOWN = 4
+
+# --search-bound decides nothing; it is validated and echoed because the
+# pinned report digests (analyze, verify-theorem JSON) hold its value
+SEARCH_BOUND = 12
 
 
 def _positive_int(text: str) -> int:
@@ -114,24 +118,19 @@ def _emit(text: str, output: str | None) -> None:
 # -- sweeps ------------------------------------------------------------
 
 
-def _classify_job(args: tuple[Graph, int, int]) -> ClassificationReport:
-    g, degree_bound, search_bound = args
-    return classify(g, degree_bound=degree_bound, search_bound=search_bound)
-
-
-def _classify_all(graphs: list[Graph], degree_bound: int, search_bound: int, jobs: int) -> list[ClassificationReport]:
+def _classify_all(graphs: list[Graph], degree_bound: int, jobs: int) -> list[ClassificationReport]:
     """``classify`` on each graph, in input order: serially when one worker
     would do, with no pool, else in a pool of min(``jobs``, len(graphs))
     processes, as a fork pool starts all its workers at once; four chunks
     per worker keep the per-task cost low, yet uneven graphs balance."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    work = [(g, degree_bound, search_bound) for g in graphs]
-    workers = min(jobs, len(work))
+    job = functools.partial(classify, degree_bound=degree_bound)
+    workers = min(jobs, len(graphs))
     if workers <= 1:
-        return [_classify_job(w) for w in work]
+        return list(map(job, graphs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_classify_job, work, chunksize=max(1, len(work) // (4 * workers))))
+        return list(pool.map(job, graphs, chunksize=max(1, len(graphs) // (4 * workers))))
 
 
 def _tsv_cell(value) -> str:
@@ -169,12 +168,11 @@ def theorem_results(
     d: int,
     n_values: list[int],
     degree_bound: int = DEGREE_BOUND,
-    search_bound: int = SEARCH_BOUND,
     jobs: int = 1,
 ) -> list[tuple[dict, ClassificationReport]]:
     """Rows and full reports for the given edge counts, in input order."""
     graphs = [graph_for_theorem(d, n).graph for n in n_values]
-    reports = _classify_all(graphs, degree_bound, search_bound, jobs)
+    reports = _classify_all(graphs, degree_bound, jobs)
     return [
         ({"d": d, "n": n, "edges": g.n_edges, "verdict": report.verdict, "exhaustive": report.exhaustive,
           "certificate_count": len(report.certificates)}, report)
@@ -195,7 +193,7 @@ def _cmd_verify_theorem(args) -> int:
     return _sweep(
         args,
         f"verify-theorem d={args.d}",
-        lambda: [row for row, _ in theorem_results(args.d, ns, args.degree_bound, args.search_bound, args.jobs)],
+        lambda: [row for row, _ in theorem_results(args.d, ns, args.degree_bound, args.jobs)],
         {VERDICT_S2_VERIFIED},
         {"command": "verify-theorem", "d": args.d, "degree_bound": args.degree_bound,
          "search_bound": args.search_bound},
@@ -211,7 +209,6 @@ def addition_rows(
     fam: FamilyGraph,
     max_extra: int,
     degree_bound: int = DEGREE_BOUND,
-    search_bound: int = SEARCH_BOUND,
     jobs: int = 1,
 ) -> list[dict]:
     """One row per cross-edge subset of the full member ``fam`` with 1..
@@ -222,7 +219,7 @@ def addition_rows(
     reps = cross_edge_orbits(fam, max_extra)
     firsts = [x for x, r in enumerate(reps) if r == x]
     graphs = [add_cross_edges(fam, subsets[x]) for x in firsts]
-    decided = dict(zip(firsts, _classify_all(graphs, degree_bound, search_bound, jobs)))
+    decided = dict(zip(firsts, _classify_all(graphs, degree_bound, jobs)))
     return [
         {
             "extra_edges": [list(e) for e in subset],
@@ -243,7 +240,7 @@ def _cmd_additions(args) -> int:
     return _sweep(
         args,
         f"additions ({args.a},{args.b}) max_extra={max_extra}",
-        lambda: addition_rows(fam, max_extra, args.degree_bound, args.search_bound, args.jobs),
+        lambda: addition_rows(fam, max_extra, args.degree_bound, args.jobs),
         {VERDICT_NORMAL, VERDICT_NOT_S2},
         {"command": "additions", "a": args.a, "b": args.b, "max_extra": max_extra},
         "all_rows_expected",
@@ -257,8 +254,8 @@ def _cmd_additions(args) -> int:
 def _cmd_analyze(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
-    report = classify(g, degree_bound=args.degree_bound, search_bound=args.search_bound)
-    _emit(_dump_json(report.to_json_dict()), args.output)
+    report = classify(g, degree_bound=args.degree_bound)
+    _emit(_dump_json({**report.to_json_dict(), "search_bound": args.search_bound}), args.output)
     timings = report.timings_ms
     stages = ", ".join(
         f"{stage} {timings[stage]:.1f}"
@@ -353,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "search_bound", 0) < 0:
+            raise ValueError(f"search bound must be nonnegative, got {args.search_bound}")
         return args.func(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,18 +30,6 @@ class FamilyGraph:
     def w(self) -> int:
         return self.a + 1
 
-    def u(self, i: int) -> int:
-        i = as_integer(i, "u-side index")
-        if not 1 <= i <= self.a:
-            raise ValueError(f"u-side index {i} outside 1..{self.a}")
-        return i
-
-    def v(self, j: int) -> int:
-        j = as_integer(j, "v-side index")
-        if not 1 <= j <= self.b:
-            raise ValueError(f"v-side index {j} outside 1..{self.b}")
-        return self.a + 1 + j
-
     @property
     def u_side(self) -> tuple[int, ...]:
         return tuple(range(1, self.a + 1))
@@ -133,10 +121,11 @@ def max_theorem_edges(d: int) -> int:
 
 
 def theorem_edge_range(d: int) -> range:
-    """Valid edge counts for the main construction at dimension d."""
+    """Valid edge counts for the main construction at dimension d, which
+    is the (3, d - 4) family, so 7 <= d <= 4 + the side limit."""
     d = as_integer(d, "dimension d")
-    if d < 7:
-        raise ValueError(f"main construction needs d >= 7, got {d}")
+    if not 7 <= d <= 4 + _MAX_SIDE:
+        raise ValueError(f"main construction needs 7 <= d <= {4 + _MAX_SIDE}, got d={d}")
     return range(d + 1, max_theorem_edges(d) + 1)
 
 

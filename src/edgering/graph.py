@@ -136,10 +136,6 @@ class Graph:
         """Bitmask of the vertex labels."""
         return to_mask(self.vertices)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        masks = self.masks
-        return 0 <= i < len(masks) and j >= 0 and bool(masks[i] >> j & 1)
-
     @cached_property
     def is_contiguous(self) -> bool:
         """True when the labels are exactly 1..n with no gaps."""

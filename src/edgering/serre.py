@@ -21,12 +21,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cycles import ExceptionalPair
-from .facets import VERTEX_KIND, Facet, fundamental_sets
+from .facets import Facet, fundamental_sets
 from .graph import (
     Edge,
     Graph,
     UnsupportedGraphError,
-    as_integer,
     bits,
     contains_odd_cycle,
     is_connected,
@@ -52,13 +51,9 @@ VERDICT_NOT_S2 = "NonNormalNotS2"
 VERDICT_UNKNOWN = "Unknown"
 
 YES = "yes"
-NO_CERTIFIED = "no_certified"
 # an exact no of ``in_localization``; the name stays while the benchmark's
 # tracer counts ``in_SF_bounded`` outcomes under it
 NO_UP_TO_BOUND = "no_up_to_bound"
-# default of ``classify``'s search_bound: validated and echoed in the
-# report, which the benchmark's pinned digests include; no verdict reads it
-SEARCH_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -85,15 +80,11 @@ class HkWitness:
 
 @dataclass(frozen=True)
 class BoundedMembership:
-    """Outcome of ``in_SF_bounded`` at one facet, every status exact:
-    ``YES`` with the ``y`` of ``in_localization`` (alpha + y is in S; call
-    ``in_S(g, alpha + y)`` for its edges), ``NO_CERTIFIED`` with a parity
-    ``certificate``, or ``NO_UP_TO_BOUND``, an exact no of
-    ``in_localization``.  The name predates the exact test."""
+    """Outcome of ``in_SF_bounded`` at one facet: ``YES`` or
+    ``NO_UP_TO_BOUND``, the exact answer of ``in_localization``.  The name
+    predates the exact test."""
 
     status: str
-    y: Vector | None = None
-    certificate: ExclusionCertificate | None = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,6 @@ class LocalizationMembership:
 class ClassificationReport:
     verdict: str
     degree_bound: int
-    search_bound: int
     gap: tuple[Vector, ...] = ()
     certificates: tuple[ExclusionCertificate, ...] = ()
     hk_witness: HkWitness | None = None
@@ -142,7 +132,6 @@ class ClassificationReport:
         return {
             "verdict": self.verdict,
             "degree_bound": self.degree_bound,
-            "search_bound": self.search_bound,
             "gap": [list(v) for v in self.gap],
             "gap_count": self.gap_count,
             "gap_computed": self.gap_computed,
@@ -282,24 +271,17 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
 
 def in_SF_bounded(g: Graph, f: Facet, alpha) -> BoundedMembership:
     """The per-facet exclusion test of ``classify``: is the lattice vector
-    alpha in the localization S - (S cap F) at facet f?  Exact, with no
+    alpha in the localization S - (S cap F) at facet f?  ``YES`` or
+    ``NO_UP_TO_BOUND`` as ``in_localization`` answers, exactly and with no
     bound; the name predates the exact test and stays while the
-    benchmark's tracer wraps it.
-
-    Rejects alpha outside the edge lattice (``in_lattice``).  At a vertex
-    facet the parity certificate comes first, as ``NO_CERTIFIED``; then
-    the answer is ``in_localization``'s: ``YES`` with its y, or
-    ``NO_UP_TO_BOUND`` on an exact no.
+    benchmark's tracer wraps it.  Rejects alpha outside the edge lattice
+    (``in_lattice``).  A caller that wants y calls ``in_localization``,
+    one that wants a parity certificate ``vertex_parity_certificate``.
     """
     vec = _check_vector(g, alpha)
     if not in_lattice(g, vec):
         raise ValueError("candidate must lie in the edge lattice")
-    if f.kind == VERTEX_KIND:
-        cert = vertex_parity_certificate(g, f.vertices[0], vec)
-        if cert is not None:
-            return BoundedMembership(NO_CERTIFIED, certificate=cert)
-    exact = in_localization(g, f, vec)
-    return BoundedMembership(YES, y=exact.y) if exact.member else BoundedMembership(NO_UP_TO_BOUND)
+    return BoundedMembership(YES if in_localization(g, f, vec).member else NO_UP_TO_BOUND)
 
 
 def hk_not_s2(g: Graph) -> HkWitness | None:
@@ -345,7 +327,7 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     return None
 
 
-def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEARCH_BOUND) -> ClassificationReport:
+def classify(g: Graph, degree_bound: int = DEGREE_BOUND) -> ClassificationReport:
     """Full normality / depth classification of the edge ring of g.
 
     Verdicts: Normal when no exceptional pair exists; NonNormalNotS2 on a
@@ -377,23 +359,19 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
 
     Args:
         g: connected graph with an odd cycle, labels 1..d.
-        degree_bound: bound on gap enumeration (positive even, below 2**64).
-        search_bound: validated (>= 0) and echoed in the report; it no
-            longer affects the verdict, as every exclusion is exact.
+        degree_bound: bound on gap enumeration (positive even, below 2**64),
+            the only bound: every exclusion is exact.
 
     Returns:
         A ClassificationReport; serialize with ``to_json_dict``.
 
     Raises:
-        ValueError: a bound is not an integer or out of range, checked before any stage.
+        ValueError: the degree bound is not an integer or out of range, checked before any stage.
         UnsupportedGraphError: g is disconnected or bipartite.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     degree_bound = check_degree_bound(degree_bound)
-    search_bound = as_integer(search_bound, "search bound")
-    if search_bound < 0:
-        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     if not is_connected(g):
         raise UnsupportedGraphError("classification needs a connected graph")
     if not contains_odd_cycle(g):
@@ -403,7 +381,6 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND, search_bound: int = SEA
         timings["total"] = (time.perf_counter() - t_start) * 1000.0
         return ClassificationReport(
             degree_bound=degree_bound,
-            search_bound=search_bound,
             timings_ms={k: round(v, 3) for k, v in timings.items()},
             **kw,
         )

@@ -681,7 +681,7 @@ def hk_not_s2_reference(g: Graph):
     return None
 
 
-def addition_rows_reference(fam, max_extra: int, degree_bound: int, search_bound: int) -> list[dict]:
+def addition_rows_reference(fam, max_extra: int, degree_bound: int) -> list[dict]:
     """The ``additions`` rows by the per-subset route: every cross-edge
     subset of 1..max_extra edges built by ``add_cross_edges`` and decided
     by ``classify`` on its own, with no orbit merge."""
@@ -692,7 +692,7 @@ def addition_rows_reference(fam, max_extra: int, degree_bound: int, search_bound
     for size in range(1, max_extra + 1):
         for subset in itertools.combinations(cross_pairs(fam), size):
             graph = add_cross_edges(fam, subset)
-            report = classify(graph, degree_bound=degree_bound, search_bound=search_bound)
+            report = classify(graph, degree_bound=degree_bound)
             rows.append({
                 "extra_edges": [list(e) for e in subset],
                 "edges": graph.n_edges,

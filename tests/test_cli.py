@@ -14,7 +14,6 @@ from edgering import cli
 from edgering.families import build_gab, graph_for_theorem
 from edgering.graph import parse_graph, write_graph
 from edgering.semigroup import DEGREE_BOUND
-from edgering.serre import SEARCH_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_D9_TSV = GOLDEN / "verify_theorem_d9.tsv"
@@ -24,6 +23,9 @@ D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae43290
 # pool graph 0 (``localization_graph``), recorded before the exact
 # localization test was added
 POOL_0_REPORT_SHA256 = "588b32f89c25596399253fd2755fa2893646877b7d4a9f0103b4816989d9d623"
+# SHA-256 of its `analyze --search-bound 0` report, recorded while
+# ``classify`` still took the search bound; only the CLI echoes it now
+POOL_0_SEARCH_BOUND_0_REPORT_SHA256 = "c0d650acdb72702bd6696d7a773a48bde700cf221984bbf916a56e55c3df6b1e"
 # SHA-256 of the default-bounds `analyze` report of tests/golden/
 # pair_clique_d10.graph, recorded before exclusion tried the last
 # excluding facet first
@@ -196,6 +198,45 @@ def test_verify_theorem_negative_search_bound():
     assert "search bound" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", str(GOLDEN / "pool_graph_0.graph")],
+    ["additions", "--a", "3", "--b", "3", "--max-extra", "1"],
+], ids=["analyze", "additions"])
+def test_negative_search_bound_refused_before_any_command(monkeypatch, capsys, command):
+    """``main`` refuses a negative --search-bound with exit 2 before the
+    command classifies anything."""
+    def no_work(*_args, **_kw):
+        raise AssertionError("a graph was classified")
+
+    monkeypatch.setattr(cli, "classify", no_work)
+    assert cli.main([*command, "--search-bound", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "search bound" in err and out == ""
+
+
+def test_analyze_echoes_the_search_bound(tmp_path, capsys):
+    """`analyze --search-bound 0` writes the bytes it wrote when
+    ``classify`` took the bound: only the echoed value differs from the
+    default report."""
+    out = tmp_path / "report.json"
+    rc = cli.main(["analyze", "--search-bound", "0", "--input", str(GOLDEN / "pool_graph_0.graph"),
+                   "--output", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POOL_0_SEARCH_BOUND_0_REPORT_SHA256
+    assert json.loads(out.read_text())["search_bound"] == 0
+
+
+@pytest.mark.parametrize("d", ["37", "20000", str(10**9)])
+def test_verify_theorem_huge_dimension_is_bad_input_at_once(capsys, d):
+    """The construction is the (3, d - 4) family, so d > 36 passes the side
+    limit: exit 2, naming d, before any edge-count range is built (d =
+    20000 raised MemoryError, exit 1, under a 2 GB address-space limit)."""
+    t0 = time.perf_counter()
+    assert cli.main(["verify-theorem", "--d", d]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"got d={d}" in capsys.readouterr().err
+
+
 def test_verify_theorem_past_vertex_limit():
     # d=17 is a valid dimension, but fundamental set enumeration stops at
     # 16 vertices: an unsupported graph, not bad input
@@ -233,7 +274,7 @@ def test_addition_rows_match_per_subset_route(a, b, max_extra):
     """Classifying one subset per orbit gives every row that classifying
     each subset on its own gives."""
     fam = build_gab(a, b)
-    expected = helpers.addition_rows_reference(fam, max_extra, DEGREE_BOUND, SEARCH_BOUND)
+    expected = helpers.addition_rows_reference(fam, max_extra, DEGREE_BOUND)
     assert cli.addition_rows(fam, max_extra) == expected
 
 
@@ -278,10 +319,10 @@ def test_jobs_below_one_rejected():
 
 
 def test_theorem_results_rejects_jobs_below_one(monkeypatch):
-    def no_work(_):
+    def no_work(*_args, **_kw):
         raise AssertionError("a graph was classified")
 
-    monkeypatch.setattr(cli, "_classify_job", no_work)
+    monkeypatch.setattr(cli, "classify", no_work)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             cli.theorem_results(7, [8], jobs=jobs)

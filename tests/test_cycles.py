@@ -62,8 +62,8 @@ def test_persistent_pair_in_intermediates():
     for a, b in [(3, 3), (3, 4)]:
         for fam in family_intermediates(a, b):
             keep = (
-                tuple(fam.u(i) for i in (a - 2, a - 1, a)),
-                tuple(fam.v(j) for j in (b - 2, b - 1, b)),
+                (a - 2, a - 1, a),
+                tuple(fam.w + j for j in (b - 2, b - 1, b)),
             )
             assert keep in [tuple(p) for p in exceptional_pairs(fam.graph)]
 

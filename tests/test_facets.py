@@ -29,7 +29,7 @@ def test_is_regular_vertex(g33):
 
     gt = edgering.graph_for_theorem(7, 8)
     assert is_regular_vertex(gt.graph, gt.w)
-    assert not is_regular_vertex(gt.graph, gt.u(3))
+    assert not is_regular_vertex(gt.graph, 3)  # u_3
 
 
 def test_fundamental_sets_glued_cliques(g33):

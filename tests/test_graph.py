@@ -85,13 +85,6 @@ def test_delete_vertex_keeps_labels(g33):
     assert lonely.edges == ()
 
 
-def test_has_edge_matches_adjacency_sets():
-    """Label gaps, 0, negatives and labels past the last vertex included."""
-    g = delete_vertex(helpers.random_connected_nonbipartite(random.Random(4)), 2)
-    adj, labels = helpers.adjacency(g), range(-1, g.vertices[-1] + 3)
-    assert all(g.has_edge(i, j) == (j in adj.get(i, ())) for i in labels for j in labels)
-
-
 def test_delete_vertex_errors():
     g = helpers.complete_graph(3)
     with pytest.raises(ValueError):

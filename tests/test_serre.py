@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 from edgering import cycles, semigroup, serre
-from edgering.cli import addition_rows
+from edgering.cli import SEARCH_BOUND, addition_rows
 from edgering.facets import (
     FUNDAMENTAL_KIND,
     VERTEX_KIND,
@@ -43,7 +43,6 @@ from edgering.graph import (
 )
 from edgering.semigroup import _gap_direct, cone, gap_elements, in_cone, in_lattice, in_S, normalization_generators
 from edgering.serre import (
-    NO_CERTIFIED,
     NO_UP_TO_BOUND,
     VERDICT_NORMAL,
     VERDICT_NOT_S2,
@@ -83,8 +82,10 @@ def vertex_facet(g, v):
 
 
 def analyze_sha256(rep):
-    """SHA-256 of the bytes `analyze` writes for the report."""
-    return hashlib.sha256((json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+    """SHA-256 of the bytes `analyze` writes for the report at the default
+    ``--search-bound``, which the CLI echoes."""
+    report = {**rep.to_json_dict(), "search_bound": SEARCH_BOUND}
+    return hashlib.sha256((json.dumps(report, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
 
 
 def count_calls(monkeypatch, name):
@@ -115,12 +116,10 @@ def test_vertex_parity_certificate_rejects_nonregular():
 
 
 def test_in_SF_bounded_vertex_certificate(g33):
+    """Where the parity certificate fires, the exact test says no too."""
     g = g33.graph
-    res = in_SF_bounded(g, vertex_facet(g, 4), ALPHA)
-    assert res.status == NO_CERTIFIED
-    assert res.certificate is not None
-    assert res.certificate.component == (1, 2, 3)
-    assert res.y is None
+    assert vertex_parity_certificate(g, 4, ALPHA).component == (1, 2, 3)
+    assert in_SF_bounded(g, vertex_facet(g, 4), ALPHA) == BoundedMembership(NO_UP_TO_BOUND)
 
 
 def in_S_cap_F(g, f, y):
@@ -131,17 +130,17 @@ def in_S_cap_F(g, f, y):
 def test_in_SF_bounded_yes(g33):
     g = g33.graph
     f = vertex_facet(g, 1)
-    res = in_SF_bounded(g, f, ALPHA)
-    assert res.status == YES and res.certificate is None
-    assert in_S_cap_F(g, f, res.y)
-    assert in_S(g, tuple(map(add, ALPHA, res.y))) is not None
+    assert in_SF_bounded(g, f, ALPHA).status == YES
+    y = in_localization(g, f, ALPHA).y
+    assert in_S_cap_F(g, f, y)
+    assert in_S(g, tuple(map(add, ALPHA, y))) is not None
 
 
 def test_in_SF_bounded_member_takes_zero_shift(g33):
     g = g33.graph
     member = (1, 1, 0, 0, 1, 1, 0)
-    res = in_SF_bounded(g, vertex_facet(g, 4), member)
-    assert res.status == YES and res.y == (0,) * 7
+    assert in_SF_bounded(g, vertex_facet(g, 4), member).status == YES
+    assert in_localization(g, vertex_facet(g, 4), member).y == (0,) * 7
 
 
 def test_in_SF_bounded_signed_candidates(g33):
@@ -154,9 +153,10 @@ def test_in_SF_bounded_signed_candidates(g33):
     pair = (-2, -2, 0, 0, 0, 0, 0)
     assert in_lattice(g, hub) and in_lattice(g, pair)
     assert in_SF_bounded(g, fw, hub).status == NO_UP_TO_BOUND
-    res = in_SF_bounded(g, fw, pair)
-    assert res.status == YES and in_S_cap_F(g, fw, res.y)
-    assert in_S(g, tuple(map(add, pair, res.y))) is not None
+    assert in_SF_bounded(g, fw, pair).status == YES
+    y = in_localization(g, fw, pair).y
+    assert in_S_cap_F(g, fw, y)
+    assert in_S(g, tuple(map(add, pair, y))) is not None
 
 
 def test_in_SF_bounded_validates_lattice(g33):
@@ -233,7 +233,7 @@ def test_classify_keeps_one_graph(g33):
     """Nothing in the library holds a classified graph once another graph
     has been classified: ``cone`` keeps only the last graph's data."""
     g = localization_graph()
-    classify(g, degree_bound=8, search_bound=8)
+    classify(g, degree_bound=8)
     ref = weakref.ref(g)
     classify(g33.graph)
     del g
@@ -323,15 +323,14 @@ def test_bounds_must_be_integers(g33):
     point, instead of reaching the search; numpy integers are integers."""
     g = g33.graph
     for call, name in [
-        (lambda: classify(g, 8, 8.5), "search bound"),
         (lambda: classify(g, 8.0), "degree bound"),
         (lambda: classify(g, "8"), "degree bound"),
         (lambda: gap_elements(g, 8.0), "degree bound"),
     ]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call()
-    rep = classify(g, np.int64(8), np.int64(4))
-    assert type(rep.search_bound) is int and rep.to_json_dict() == classify(g, 8, 4).to_json_dict()
+    rep = classify(g, np.int64(8))
+    assert type(rep.degree_bound) is int and rep.to_json_dict() == classify(g, 8).to_json_dict()
 
 
 def test_degree_bound_fits_a_packed_field(g33):
@@ -408,10 +407,9 @@ def check_certified_route(g, degree_bound):
     """The gap stage hands each gap element's lowest certifying vertex to
     ``classify``: ``Cone.certified`` is exactly the gap elements with C
     nonempty, each mapped to next(``Cone.certifying``).  When HK does not
-    refute g, the ``vertex_parity_certificate`` calls of ``classify`` that
-    certify are one per such element it examines, at that vertex (the
-    others come from ``in_SF_bounded`` on elements with C empty), and its
-    certificates are the per-element route's.  The cone is dropped first,
+    refute g, the ``vertex_parity_certificate`` calls of ``classify`` are
+    one per such element it examines, at that vertex, each certifying, and
+    its certificates are the per-element route's.  The cone is dropped first,
     so ``Cone.certified`` holds this call's gap alone.  Returns the gap."""
     cone.cache_clear()
     if hk_not_s2(g) is not None:
@@ -433,9 +431,9 @@ def check_certified_route(g, degree_bound):
     assert [c.certified.get(alpha) for alpha in gap] == lowest
     assert c.certified.keys() == {alpha for alpha, v in zip(gap, lowest) if v is not None}
     if calls is not None:
-        assert [(v, alpha) for v, alpha, cert in calls if cert] == [
+        assert [(v, alpha) for v, alpha, _ in calls] == [
             (v, alpha) for v, alpha in zip(lowest, examined) if v is not None]
-        assert all(c.certified.get(alpha) is None for _, alpha, cert in calls if not cert)
+        assert all(cert for *_, cert in calls)
     return gap
 
 
@@ -496,11 +494,11 @@ def test_certified_route_on_random_draws(seed, draw):
     assert check_certified_route(g, 10) == plain_gap(g, 10)
 
 
-def _certificates_match_reference(g, degree_bound, search_bound):
+def _certificates_match_reference(g, degree_bound):
     """classify's certificates equal the per-facet reference loop's on the
     gap elements it examined (all of them, or up to the S' candidate);
     returns the reference answer per examined element."""
-    rep = classify(g, degree_bound, search_bound)
+    rep = classify(g, degree_bound)
     stop = len(rep.gap) if rep.s_prime_candidate is None else rep.gap.index(rep.s_prime_candidate) + 1
     reference = helpers.vertex_certificates_reference(g, rep.gap[:stop])
     assert list(rep.certificates) == [c for c in reference if c is not None]
@@ -509,15 +507,15 @@ def _certificates_match_reference(g, degree_bound, search_bound):
 
 def test_pool_graph_0_certificates_match_reference():
     """No vertex facet certifies any gap element of the first localization
-    pool graph at bounds 8/8, so classify must report no certificate."""
+    pool graph at degree bound 8, so classify must report no certificate."""
     g = Graph.from_edge_list(8, [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7),
                                  (4, 6), (5, 6), (5, 8)])
-    reference = _certificates_match_reference(g, 8, 8)
+    reference = _certificates_match_reference(g, 8)
     assert len(reference) == 8 and not any(reference)
 
 
 def test_certificates_match_reference_with_exceptional_pair():
-    """Random graphs with an exceptional pair, at bounds 8/4: enough draws
+    """Random graphs with an exceptional pair, at degree bound 8: enough draws
     reach the exclusion stage, and some have gap elements that no vertex
     facet certifies."""
     examined = []
@@ -526,7 +524,7 @@ def test_certificates_match_reference_with_exceptional_pair():
               suppress_health_check=[HealthCheck.too_slow])
     @given(with_exceptional_pair(dmax=10))
     def check(g):
-        examined.append(_certificates_match_reference(g, 8, 4))
+        examined.append(_certificates_match_reference(g, 8))
 
     check()
     reached = [ref for ref in examined if ref]
@@ -558,8 +556,8 @@ def test_fundamental_facets_checked(g33):
 
 
 def localization_graph():
-    """8 vertices, 10 edges: at bounds 8/8 no gap element has a parity
-    certificate, so exclusion runs the bounded localization search."""
+    """8 vertices, 10 edges: at degree bound 8 no gap element has a parity
+    certificate, so exclusion runs the exact localization test."""
     pairs = [(1, 5), (1, 6), (1, 8), (2, 3), (2, 7), (3, 6), (3, 7), (4, 6), (5, 6), (5, 8)]
     return Graph.from_edge_list(8, pairs)
 
@@ -577,25 +575,25 @@ def test_exclusion_scan_stops_at_first_non_yes(monkeypatch):
         return fake
 
     monkeypatch.setattr(serre, "in_SF_bounded", stub(NO_UP_TO_BOUND))
-    rep = classify(g, degree_bound=8, search_bound=8)
+    rep = classify(g, degree_bound=8)
     assert rep.verdict == VERDICT_S2_VERIFIED and len(seen) == rep.gap_count
 
     # every facet says yes for the first gap element: NotS2 right there
     seen.clear()
     monkeypatch.setattr(serre, "in_SF_bounded", stub(YES))
-    rep = classify(g, degree_bound=8, search_bound=8)
+    rep = classify(g, degree_bound=8)
     assert rep.verdict == VERDICT_NOT_S2 and rep.s_prime_candidate == rep.gap[0]
     assert seen == validated
 
 
 # two triangles joined through three more vertices: NotS2 at its first
-# uncertified gap element at bounds 8/8
+# uncertified gap element at degree bound 8
 EXCLUSION_NOT_S2 = Graph.from_edge_list(9, [(1, 5), (1, 7), (1, 9), (2, 4), (2, 5), (2, 6), (3, 6), (3, 8),
                                             (4, 7), (6, 8), (7, 9)])
 
 
 def test_exclusion_matches_localization_oracle():
-    """At bounds 8/8, on graphs that HK does not refute, against the
+    """At degree bound 8, on graphs that HK does not refute, against the
     brute-force condition of ``helpers.localization_reference`` at the
     validated facets of ``facets``, neither of which reads ``serre``: each
     gap element that ``classify`` examined without a vertex-parity
@@ -613,7 +611,7 @@ def test_exclusion_matches_localization_oracle():
     @example(EXCLUSION_NOT_S2)
     def check(g):
         assume(cycles.exceptional_pairs(g) and hk_not_s2(g) is None)
-        rep = classify(g, degree_bound=8, search_bound=8)
+        rep = classify(g, degree_bound=8)
         validated = [f for f in facets(g) if f.validated]
         examined = rep.gap if rep.s_prime_candidate is None else rep.gap[: rep.gap.index(rep.s_prime_candidate) + 1]
         certified = {c.candidate for c in rep.certificates}
@@ -641,7 +639,7 @@ def test_pool_graph_0_report_at_default_bounds(monkeypatch):
     assert (Path(__file__).parent / "golden" / "pool_graph_0.graph").read_text() == write_graph(localization_graph())
     tests = count_calls(monkeypatch, "in_SF_bounded")
     cone.cache_clear()
-    rep = classify(localization_graph(), degree_bound=16, search_bound=12)
+    rep = classify(localization_graph(), degree_bound=16)
     assert rep.gap_count == 792 and not rep.certificates
     assert analyze_sha256(rep) == POOL_0_REPORT_SHA256
     assert len(tests) <= 799
@@ -715,7 +713,7 @@ def test_two_covers_d10_report_at_default_bounds():
 
 
 def exclusion_graphs():
-    """Graphs whose exclusion stage tests facets at bounds 8/8, or that
+    """Graphs whose exclusion stage tests facets at degree bound 8, or that
     reach it: the 60 localization pool graphs of the benchmark,
     ``EXCLUSION_NOT_S2`` and the
     non-normal graphs among 3,000 draws of ``random_connected_
@@ -729,7 +727,7 @@ def exclusion_graphs():
 
 
 def test_exclusion_order_does_not_change_reports(monkeypatch):
-    """``classify``'s reports at bounds 8/8 are the same whatever order
+    """``classify``'s reports at degree bound 8 are the same whatever order
     ``Cone.validated`` lists the facets in: as enumerated, reversed, or
     shuffled by a seeded ``Random``.  Each NotS2 ``s_prime_candidate`` is
     the first gap element that every validated facet admits, tested
@@ -741,7 +739,7 @@ def test_exclusion_order_does_not_change_reports(monkeypatch):
         out = []
         for g in graphs:
             cone.cache_clear()
-            out.append(classify(g, degree_bound=8, search_bound=8))
+            out.append(classify(g, degree_bound=8))
         return out
 
     default = reports()
@@ -797,11 +795,11 @@ def _faces(g):
 @given(localization_queries())
 def test_in_localization_matches_bounded_search(query):
     """At every face of ``_faces``: a y found by the bounded reference
-    search means an exact yes, a parity certificate an exact no; an exact
-    yes carries a y in S cap F with alpha + y in S and an off-facet
+    search means an exact yes; an exact yes carries a y in S cap F with alpha + y in S and an off-facet
     multiset of weight ell(alpha); an exact no is unreached by the
     brute-force lemma condition.  At each facet candidate,
-    ``in_SF_bounded`` says yes exactly on an exact yes."""
+    ``in_SF_bounded`` says ``YES`` on an exact yes and ``NO_UP_TO_BOUND``
+    on an exact no."""
     g, alpha = query
     candidates = facets(g)
     for f in _faces(g):
@@ -811,10 +809,7 @@ def test_in_localization_matches_bounded_search(query):
         if y is not None:
             assert exact.member
         if f in candidates:
-            bounded = in_SF_bounded(g, f, alpha)
-            assert (bounded.status == YES) == exact.member
-            if bounded.status == NO_CERTIFIED:
-                assert not exact.member
+            assert in_SF_bounded(g, f, alpha).status == (YES if exact.member else NO_UP_TO_BOUND)
         if exact.member:
             assert in_S_cap_F(g, f, exact.y)
             assert in_S(g, tuple(map(add, alpha, exact.y))) is not None
@@ -903,7 +898,7 @@ def test_cone_parity_is_the_vertex_facets(g, data):
     assert all(f.validated for f in facets(g) if f.kind == VERTEX_KIND)
     x = data.draw(st.lists(st.integers(0, 2), min_size=g.n_vertices, max_size=g.n_vertices))
     assert to_mask(c.certifying(x)) == certifying_reference(g, x)
-    for cert in classify(g, degree_bound=8, search_bound=4).certificates:
+    for cert in classify(g, degree_bound=8).certificates:
         assert cert.vertex == bits(certifying_reference(g, cert.candidate))[0]
 
 
