@@ -43,6 +43,7 @@ from .graph import (
     write_graph,
 )
 from .semigroup import (
+    ExclusionCertificate,
     MembershipWitness,
     Vector,
     gap_elements,
@@ -55,7 +56,6 @@ from .semigroup import (
 from .serre import (
     BoundedMembership,
     ClassificationReport,
-    ExclusionCertificate,
     HkWitness,
     LocalizationMembership,
     classify,

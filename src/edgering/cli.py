@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +57,11 @@ EXIT_UNKNOWN = 4
 # --search-bound decides nothing; it is validated and echoed because the
 # pinned report digests (analyze, verify-theorem JSON) hold its value
 SEARCH_BOUND = 12
+
+# the most cross-edge subsets `additions` takes, as each is a report row: at
+# this limit, (4,4) with all 16 cross pairs (65,535 subsets) peaks at about
+# 290 MB RSS writing JSON
+ADDITIONS_SUBSET_LIMIT = 1 << 16
 
 
 def _positive_int(text: str) -> int:
@@ -214,7 +220,13 @@ def addition_rows(
     """One row per cross-edge subset of the full member ``fam`` with 1..
     ``max_extra`` edges, in ``itertools.combinations`` order.  Only each
     orbit's representative (``cross_edge_orbits``) is classified; its
-    verdict and exhaustive flag hold for the whole orbit."""
+    verdict and exhaustive flag hold for the whole orbit.  More than
+    ``ADDITIONS_SUBSET_LIMIT`` subsets, counted before any is listed,
+    raise ValueError."""
+    count = sum(math.comb(len(cross_pairs(fam)), k) for k in range(1, max_extra + 1))
+    if count > ADDITIONS_SUBSET_LIMIT:
+        raise ValueError(f"{count:,} cross-edge subsets of 1..{max_extra} edges exceed the limit of "
+                         f"{ADDITIONS_SUBSET_LIMIT:,}; lower --max-extra")
     subsets = [s for size in range(1, max_extra + 1) for s in itertools.combinations(cross_pairs(fam), size)]
     reps = cross_edge_orbits(fam, max_extra)
     firsts = [x for x, r in enumerate(reps) if r == x]
@@ -340,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_add = sub.add_parser("additions", parents=[sweep], help="classify cross-edge augmentations")
     p_add.add_argument("--a", type=int, required=True)
     p_add.add_argument("--b", type=int, required=True)
-    p_add.add_argument("--max-extra", type=int)
+    p_add.add_argument("--max-extra", type=int,
+                       help=f"most cross edges per subset (default: all); at most "
+                            f"{ADDITIONS_SUBSET_LIMIT:,} subsets in all, else exit 2")
     p_add.set_defaults(func=_cmd_additions)
 
     return parser

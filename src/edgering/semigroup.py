@@ -58,6 +58,18 @@ class MembershipWitness:
         return tuple(acc)
 
 
+@dataclass(frozen=True)
+class ExclusionCertificate:
+    """Exact, bound-independent proof that a candidate is missing from
+    the localization at the vertex facet of ``vertex``: the candidate
+    vanishes there while ``component`` (a component of G minus vertex)
+    has odd total weight."""
+
+    vertex: int
+    component: tuple[int, ...]
+    candidate: Vector
+
+
 def _require_full(g: Graph) -> int:
     if not g.is_contiguous:
         raise ValueError("semigroup operations need labels exactly 1..d")
@@ -453,15 +465,18 @@ class Cone:
     every step of ``_gap_formula``.  ``quotient(f)``: the ``_FacetQuotient``
     of ``serre.in_localization``, built once per facet.  ``certified``:
     each gap element alpha with C(alpha) nonempty that ``_gap_formula`` has
-    listed, mapped to the lowest vertex of C(alpha), a fact of alpha alone
-    (Lemma 1 there), so ``classify`` reads it instead of scanning
-    ``certifying``.
+    listed, mapped to its ``ExclusionCertificate``: the lowest vertex v of
+    C(alpha) and the first component of G minus v of odd alpha-weight, in
+    ``regular[v]`` order, both facts of alpha alone (Lemma 1 there), with
+    alpha itself, the very tuple of the gap list, as the candidate.
+    ``classify`` reads it instead of scanning ``certifying``, and
+    ``serre.vertex_parity_certificate`` hands it back for that tuple.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self._quotients: dict[Facet, _FacetQuotient] = {}
-        self.certified: dict[Vector, int] = {}
+        self.certified: dict[Vector, ExclusionCertificate] = {}
 
     @cached_property
     def pairs(self) -> tuple[ExceptionalPair, ...]:
@@ -553,27 +568,32 @@ def _open_covers(engine: _EdgeSumSearch, x: Vector, cover: int, degree_bound: in
 
 def _proven_gap(
     g: Graph, fmt: struct.Struct, module: list[Vector], covers: list[int], degree_bound: int
-) -> dict[int, int]:
+) -> dict[int, tuple[int, tuple[int, ...]]]:
     """The certified gap by Lemma 2 of ``_gap_formula``, packed by ``fmt``
-    = ``_packing(d, degree_bound)``, each element mapped to the lowest
-    vertex of its C: for each v, ascending, and each x in M with v in C(x)
-    = ``covers``, x + beta over the edge sums beta of G minus v of degree
-    <= b - deg(x) that are positive on C(x) below v.  Each x + beta is one
-    int add, exact by the lemma of ``_packing`` as its degree is <= b.
-    The levels of G minus v are built once, for every x that uses v."""
+    = ``_packing(d, degree_bound)``, each element mapped to (v, K): v the
+    lowest vertex of its C and K the first component of G minus v, in
+    ``Cone.regular[v]`` order, of odd weight.  For each v, ascending, and
+    each x in M with v in C(x) = ``covers``: K is found once, from x, and
+    holds for every x + beta formed there (Lemma 1), beta over the edge
+    sums of G minus v of degree <= b - deg(x) that are positive on C(x)
+    below v.  Each x + beta is one int add, exact by the lemma of
+    ``_packing`` as its degree is <= b.  The levels of G minus v are built
+    once, for every x that uses v."""
+    regular = cone(g).regular
     users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
     for i, cover in enumerate(covers):
         for v in bits(cover):
             users.setdefault(v, []).append(i)
-    found: dict[int, int] = {}
+    found: dict[int, tuple[int, tuple[int, ...]]] = {}
     for v in sorted(users):
         edges = tuple(e for e in g.edges if v not in e)
         levels = _edge_sum_levels(fmt, g.n_vertices, edges, degree_bound - min(sum(module[i]) for i in users[v]))
         for i in users[v]:
             x, below = module[i], covers[i] & ((1 << v) - 1)
             packed = _pack(fmt, x)
+            site = v, next(comp for comp, idx in regular[v] if sum(map(x.__getitem__, idx)) % 2)
             found.update(
-                (packed + beta, v)
+                (packed + beta, site)
                 for k in range((degree_bound - sum(x)) // 2 + 1)
                 for beta, supp in levels[k].items()
                 if supp & below == below
@@ -602,9 +622,10 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     has *failed*, and x is *open* when one has.
 
     Lemma 1.  For any x >= 0 and beta in S, C(x + beta) = C(x) minus
-    supp(beta), and at each v in C(x + beta) the first component of G
-    minus v of odd weight is the same for x + beta as for x.  Proof.  If
-    beta_v > 0 then (x + beta)_v > 0.  If beta_v = 0, no edge of a
+    supp(beta), and at each v in C(x + beta) the components of G minus v
+    of odd weight, so also the first in any fixed order, are the same for
+    x + beta as for x; the certified part stores that first one.  Proof.
+    If beta_v > 0 then (x + beta)_v > 0.  If beta_v = 0, no edge of a
     decomposition of beta meets v, so each lies inside one component of
     G minus v and adds 2 to its weight: every component keeps its parity.
 
@@ -624,12 +645,15 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
     beta in S with beta_v = 0 is exactly an edge sum of G minus v, the
     semigroup S cap F_v of v's vertex facet.  Split (i) by the lowest v
     in C(x) where beta vanishes: the pieces are disjoint, and by Lemma 1
-    v is the lowest vertex of C(x + beta), whichever x reaches it; it goes
-    into ``Cone.certified``.  Open part: the failed covers of every x,
-    deduplicated, are the first frontier.  Each round adds every edge
-    vector to each frontier element of degree < b, and a new vector that
-    ``Cone.engine`` finds outside S joins the gap and the next frontier;
-    ``seen`` decides each vector once.  By (ii) and (iii) this reaches
+    v is the lowest vertex of C(x + beta), whichever x reaches it, and the
+    first odd component of G minus v is the same for x + beta as for x, so
+    it is found once per (v, x).  Both go into ``Cone.certified`` as the
+    ``ExclusionCertificate`` of x + beta, the one that
+    ``serre.vertex_parity_certificate`` builds at v.  Open part: the failed
+    covers of every x, deduplicated, are the first frontier.  Each round
+    adds every edge vector to each frontier element of degree < b, and a
+    new vector that ``Cone.engine`` finds outside S joins the gap and the
+    next frontier; ``seen`` decides each vector once.  By (ii) and (iii) this reaches
     every gap element x + beta with beta positive on C(x), and only gap
     elements.  Each is positive on C(x), so its C is empty (Lemma 1): the
     open part is exactly the uncertified gap, disjoint from the certified
@@ -655,7 +679,8 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
         frontier = [z for z in grown if not c.engine.decide(z)]
     packed.sort()
     gap = [_unpack(fmt, n) for n in packed]
-    c.certified.update((y, v) for y, v in zip(gap, map(found.get, packed)) if v is not None)
+    c.certified.update(
+        (y, ExclusionCertificate(*site, y)) for y, site in zip(gap, map(found.get, packed)) if site is not None)
     return gap
 
 

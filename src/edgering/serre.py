@@ -36,6 +36,7 @@ from .graph import (
 )
 from .semigroup import (
     DEGREE_BOUND,
+    ExclusionCertificate,
     Vector,
     _check_vector,
     check_degree_bound,
@@ -54,18 +55,6 @@ YES = "yes"
 # an exact no of ``in_localization``; the name stays while the benchmark's
 # tracer counts ``in_SF_bounded`` outcomes under it
 NO_UP_TO_BOUND = "no_up_to_bound"
-
-
-@dataclass(frozen=True)
-class ExclusionCertificate:
-    """Exact, bound-independent proof that a candidate is missing from
-    the localization at the vertex facet of ``vertex``: the candidate
-    vanishes there while ``component`` (a component of G minus vertex)
-    has odd total weight."""
-
-    vertex: int
-    component: tuple[int, ...]
-    candidate: Vector
 
 
 @dataclass(frozen=True)
@@ -253,12 +242,28 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
 
     The components and their 0-based index tuples are ``cone(g).regular
     [v]``, the rows ``Cone.certifying`` sums too, so a repeated call costs
-    O(d); a v outside G or not regular raises ValueError.  ``classify``
-    calls it once per gap element with C(alpha) nonempty, at its lowest
-    vertex, which the gap stage hands over in ``Cone.certified``.
+    O(d); a v outside G or not regular raises ValueError.
+
+    Fast path: when alpha is the very tuple (an identity test, not
+    equality) that a certificate of ``cone(g).certified`` holds as its
+    candidate, and v is that certificate's vertex, the stored certificate
+    is returned.  It is exactly what the scan below returns: its candidate
+    is a tuple of d ints, so ``_check_vector`` yields an equal vector; v
+    is in C(alpha), so alpha_v = 0; and its component is the first of
+    ``regular[v]`` of odd alpha-weight (Lemma 1 of ``semigroup.
+    _gap_formula``).  Any other argument, an equal copy included, takes
+    the scan.  ``classify`` calls this once per gap element with C(alpha)
+    nonempty, with the tuple and the vertex of its stored certificate.
     """
+    c = cone(g)
+    try:
+        stored = c.certified.get(alpha)
+    except TypeError:  # unhashable, so not a stored tuple; _check_vector names the fault
+        stored = None
+    if stored is not None and stored.candidate is alpha and stored.vertex == v:
+        return stored
     vec = _check_vector(g, alpha)
-    rows = cone(g).regular.get(v)
+    rows = c.regular.get(v)
     if rows is None:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
     if vec[v - 1] != 0:
@@ -338,10 +343,13 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND) -> ClassificationReport
     exclusion is a vertex-parity certificate); Unknown when non-normality
     is established but no gap element falls under the degree bound.
 
-    Certificates.  The lowest vertex of C(alpha) is read off
-    ``Cone.certified``, which the gap stage fills with every gap element
-    that has a certifying vertex; an element it lacks has C(alpha) empty
+    Certificates.  ``Cone.certified`` holds the certificate of every gap
+    element that has a certifying vertex, built by the gap stage at the
+    lowest vertex of C(alpha); an element it lacks has C(alpha) empty
     (Lemma 2 of ``semigroup._gap_formula``), so no vertex is scanned here.
+    Each certified element gets one ``vertex_parity_certificate`` call,
+    with the gap's own tuple at the stored vertex, which hands the stored
+    certificate back by its fast path without a parity scan.
 
     Facet order.  Each gap element without a vertex-parity certificate is
     tested against the validated facets in a local list, built at the
@@ -410,9 +418,9 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND) -> ClassificationReport
     exhaustive = True
     order: list[Facet] = []  # the validated facets, the last excluding one first
     for alpha in gap:
-        v = c.certified.get(alpha)  # the lowest vertex of C(alpha), None when C(alpha) is empty
-        if v is not None:
-            certificates.append(vertex_parity_certificate(g, v, alpha))
+        stored = c.certified.get(alpha)  # at the lowest vertex of C(alpha), None when C(alpha) is empty
+        if stored is not None:
+            certificates.append(vertex_parity_certificate(g, stored.vertex, alpha))
             continue
         order = order or list(c.validated)  # here, so an all-certified gap enumerates no facet
         for i, f in enumerate(order):

@@ -528,16 +528,19 @@ def edge_sum_levels_reference(d: int, edges, max_degree: int) -> list[set[tuple[
     return levels
 
 
-def vertex_certificates_reference(g: Graph, alphas) -> list:
+def vertex_certificates_reference(g: Graph, alphas, vertices=None) -> list:
     """Per alpha, the first exclusion certificate over the validated vertex
-    facets, in facet order, from one ``vertex_parity_certificate`` call per
-    facet; None when no vertex facet certifies alpha.  The facets are
-    computed once for all of ``alphas``."""
+    facets, in facet order (or over ``vertices``, in their order), from one
+    ``vertex_parity_certificate`` call per facet; None when none of them
+    certifies alpha.  Each call gets alpha as a list, so it runs the parity
+    scan and never hands back a certificate the gap stage stored.  The
+    facets are computed once for all of ``alphas``."""
     from edgering.facets import VERTEX_KIND, facets
     from edgering.serre import vertex_parity_certificate
 
-    vertices = [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
-    return [next(filter(None, (vertex_parity_certificate(g, v, alpha) for v in vertices)), None)
+    if vertices is None:
+        vertices = [f.vertices[0] for f in facets(g) if f.validated and f.kind == VERTEX_KIND]
+    return [next(filter(None, (vertex_parity_certificate(g, v, list(alpha)) for v in vertices)), None)
             for alpha in alphas]
 
 

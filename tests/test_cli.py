@@ -19,6 +19,10 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_D9_TSV = GOLDEN / "verify_theorem_d9.tsv"
 # analyze --degree-bound 16 --search-bound 12 on the d=8, n=13 theorem graph
 D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
+# the same on `family --d 8 --n 16`, the largest d=8 theorem graph (3,168
+# certificates), recorded before the gap stage built the certificates; the
+# n = 13..16 graphs share their gap and certificates, so their report bytes
+D8_N16_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 # SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
 # pool graph 0 (``localization_graph``), recorded before the exact
 # localization test was added
@@ -296,6 +300,20 @@ def test_additions_bad_max_extra():
     assert proc.returncode == 2
 
 
+def test_additions_over_the_subset_limit(capsys):
+    """(5,5) with all 25 cross pairs has 2**25 - 1 subsets: exit 2 within a
+    second, naming the count and the limit, before any subset is listed;
+    ``--help`` states the limit."""
+    t0 = time.perf_counter()
+    assert cli.main(["additions", "--a", "5", "--b", "5"]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "33,554,431" in err and f"{cli.ADDITIONS_SUBSET_LIMIT:,}" in err
+    with pytest.raises(SystemExit):
+        cli.main(["additions", "--help"])
+    assert f"{cli.ADDITIONS_SUBSET_LIMIT:,}" in capsys.readouterr().out
+
+
 def test_additions_odd_degree_bound():
     # every graph here returns before gap enumeration, so classify must
     # reject the bound up front
@@ -376,6 +394,7 @@ def test_verify_theorem_d9_matches_golden(tmp_path):
 
 @pytest.mark.parametrize("name, digest", [
     pytest.param("d8_n13", D8_N13_REPORT_SHA256, id="d8_n13"),
+    pytest.param("d8_n16", D8_N16_REPORT_SHA256, id="d8_n16"),
     pytest.param("pool_graph_0", POOL_0_REPORT_SHA256, id="pool_graph_0"),
     pytest.param("pair_clique_d10", PAIR_CLIQUE_D10_REPORT_SHA256, id="pair_clique_d10"),
     pytest.param("partial_proof_d9", PARTIAL_PROOF_D9_REPORT_SHA256, id="partial_proof_d9"),
@@ -383,11 +402,11 @@ def test_verify_theorem_d9_matches_golden(tmp_path):
 ])
 def test_analyze_report_bytes(tmp_path, name, digest):
     """The full report (gap, certificates and all) at the default bounds,
-    16/12, pinned by its SHA-256: of the d=8, n=13 theorem graph and of
-    the four golden graphs whose digests tests/test_serre.py checks
+    16/12, pinned by its SHA-256: of the d=8, n=13 and n=16 theorem graphs
+    and of the four golden graphs whose digests tests/test_serre.py checks
     through ``json.dumps``, the largest reports the CLI writes."""
-    if name == "d8_n13":
-        path = write_file(tmp_path / "d8n13.graph", graph_for_theorem(8, 13).graph)
+    if name.startswith("d8_n"):
+        path = write_file(tmp_path / f"{name}.graph", graph_for_theorem(8, int(name[4:])).graph)
     else:
         path = str(GOLDEN / f"{name}.graph")
     out = tmp_path / "report.json"

@@ -404,12 +404,13 @@ def multi_vertex_graph():
 
 
 def check_certified_route(g, degree_bound):
-    """The gap stage hands each gap element's lowest certifying vertex to
-    ``classify``: ``Cone.certified`` is exactly the gap elements with C
-    nonempty, each mapped to next(``Cone.certifying``).  When HK does not
+    """The gap stage hands each gap element's certificate to ``classify``:
+    ``Cone.certified`` is exactly the gap elements with C nonempty, each
+    mapped to a certificate at next(``Cone.certifying``).  When HK does not
     refute g, the ``vertex_parity_certificate`` calls of ``classify`` are
-    one per such element it examines, at that vertex, each certifying, and
-    its certificates are the per-element route's.  The cone is dropped first,
+    one per such element it examines, at that vertex, each certifying; its
+    certificates are the per-element route's, and they are the stored
+    objects themselves.  The cone is dropped first,
     so ``Cone.certified`` holds this call's gap alone.  Returns the gap."""
     cone.cache_clear()
     if hk_not_s2(g) is not None:
@@ -428,12 +429,13 @@ def check_certified_route(g, degree_bound):
         assert list(rep.certificates) == [cert for cert in reference if cert is not None]
     c = cone(g)
     lowest = [next(c.certifying(alpha), None) for alpha in gap]
-    assert [c.certified.get(alpha) for alpha in gap] == lowest
+    assert [getattr(c.certified.get(alpha), "vertex", None) for alpha in gap] == lowest
     assert c.certified.keys() == {alpha for alpha, v in zip(gap, lowest) if v is not None}
     if calls is not None:
         assert [(v, alpha) for v, alpha, _ in calls] == [
             (v, alpha) for v, alpha in zip(lowest, examined) if v is not None]
         assert all(cert for *_, cert in calls)
+        assert all(cert is c.certified[cert.candidate] for cert in rep.certificates)
     return gap
 
 
@@ -492,6 +494,68 @@ def test_certified_route_on_random_draws(seed, draw):
     found, g = draw_graph(seed, mixed_at(10), draw)
     assert found == draw
     assert check_certified_route(g, 10) == plain_gap(g, 10)
+
+
+def check_fast_path(g, degree_bound):
+    """``vertex_parity_certificate`` hands back a stored certificate only
+    for the gap's own tuple at its stored vertex; every answer equals the
+    parity scan's (``helpers.vertex_certificates_reference``).  Per
+    certified element: the stored certificate, component included, is the
+    scan's at its vertex; an equal copy, a list and numpy int64
+    coordinates each get an equal certificate that is not the stored one;
+    every further certifying vertex gets the scan's certificate there; and
+    a float coordinate, equal and of equal hash, raises ValueError.
+    Returns the number of certified elements and of further vertices."""
+    cone.cache_clear()
+    gap = gap_elements(g, degree_bound)
+    c, further = cone(g), 0
+    for alpha in gap:
+        stored = c.certified.get(alpha)
+        if stored is None:
+            continue
+        assert [stored] == helpers.vertex_certificates_reference(g, [alpha], [stored.vertex])
+        assert stored.candidate is alpha and vertex_parity_certificate(g, stored.vertex, alpha) is stored
+        for other in (tuple(list(alpha)), list(alpha), tuple(map(np.int64, alpha))):
+            cert = vertex_parity_certificate(g, stored.vertex, other)
+            assert cert == stored and cert is not stored
+        for v in list(c.certifying(alpha))[1:]:
+            assert [vertex_parity_certificate(g, v, alpha)] == helpers.vertex_certificates_reference(g, [alpha], [v])
+            further += 1
+        k = next(i for i, a in enumerate(alpha) if a)
+        floating = alpha[:k] + (float(alpha[k]),) + alpha[k + 1:]
+        assert floating == alpha and hash(floating) == hash(alpha)
+        with pytest.raises(ValueError, match="vector coordinate"):
+            vertex_parity_certificate(g, stored.vertex, floating)
+    return len(c.certified), further
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_fast_path_on_theorem_graphs(d):
+    """``check_fast_path`` on every theorem graph of d = 7, 8 at the
+    default bound, whose gap is all certified; the d = 8 sweep has
+    16,632 certified elements, none with a second certifying vertex."""
+    counts = [check_fast_path(graph_for_theorem(d, n).graph, 16) for n in theorem_edge_range(d)]
+    assert all(certified for certified, _ in counts)
+    assert d == 7 or sum(certified for certified, _ in counts) == 16632
+
+
+def test_fast_path_on_hypothesis_graphs():
+    """``check_fast_path`` on random graphs with an exceptional pair or an
+    odd cycle at bounds 8 and 10, and on a graph with two certifying
+    vertices at one gap element: at least 20 of the random graphs have a
+    certified gap element, and some element is checked at a vertex that
+    is not its lowest."""
+    counts = [check_fast_path(multi_vertex_graph(), 10)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(st.one_of(with_exceptional_pair(dmax=9), connected_nonbipartite(dmax=9)), st.sampled_from([8, 10]))
+    def check(g, bound):
+        counts.append(check_fast_path(g, bound))
+
+    check()
+    assert sum(bool(certified) for certified, _ in counts[1:]) >= 20, counts
+    assert sum(further for _, further in counts), counts
 
 
 def _certificates_match_reference(g, degree_bound):
