@@ -22,7 +22,6 @@ import itertools
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from .families import (
@@ -135,6 +134,8 @@ def _classify_all(graphs: list[Graph], degree_bound: int, jobs: int) -> list[Cla
     workers = min(jobs, len(graphs))
     if workers <= 1:
         return list(map(job, graphs))
+    from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, graphs, chunksize=max(1, len(graphs) // (4 * workers))))
 

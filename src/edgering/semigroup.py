@@ -17,7 +17,9 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import add, ge, mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,12 +60,15 @@ class MembershipWitness:
         return tuple(acc)
 
 
-@dataclass(frozen=True)
-class ExclusionCertificate:
+class ExclusionCertificate(NamedTuple):
     """Exact, bound-independent proof that a candidate is missing from
     the localization at the vertex facet of ``vertex``: the candidate
     vanishes there while ``component`` (a component of G minus vertex)
-    has odd total weight."""
+    has odd total weight.
+
+    A named tuple, so one costs the gap stage a tuple, not an object with
+    a ``__dict__``: immutable, picklable and truthy, and equal to the
+    plain 3-tuple ``(vertex, component, candidate)`` of its fields."""
 
     vertex: int
     component: tuple[int, ...]
@@ -410,8 +415,11 @@ def _pack(fmt: struct.Struct, y: Vector) -> int:
     return int.from_bytes(fmt.pack(sum(y), *y), "big")
 
 
-def _unpack(fmt: struct.Struct, n: int) -> Vector:
-    return fmt.unpack(n.to_bytes(fmt.size, "big"))[1:]
+def _unpack(fmt: struct.Struct, packed: list[int]) -> list[Vector]:
+    """The vectors y of the packed ints, in order: their fixed-width bytes
+    joined, read in one pass through ``fmt`` with the sum field as pad."""
+    body = b"".join(map(int.to_bytes, packed, repeat(fmt.size), repeat("big")))
+    return list(struct.iter_unpack(f">{struct.calcsize(fmt.format[:2])}x{fmt.format[2:]}", body))
 
 
 def _edge_sum_levels(
@@ -576,9 +584,10 @@ def _proven_gap(
     each x in M with v in C(x) = ``covers``: K is found once, from x, and
     holds for every x + beta formed there (Lemma 1), beta over the edge
     sums of G minus v of degree <= b - deg(x) that are positive on C(x)
-    below v.  Each x + beta is one int add, exact by the lemma of
-    ``_packing`` as its degree is <= b.  The levels of G minus v are built
-    once, for every x that uses v."""
+    below v: every sum of a level when C(x) has no vertex below v, so that
+    level is added unfiltered.  Each x + beta is one int add, exact by the
+    lemma of ``_packing`` as its degree is <= b.  The levels of G minus v
+    are built once, for every x that uses v."""
     regular = cone(g).regular
     users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
     for i, cover in enumerate(covers):
@@ -592,12 +601,9 @@ def _proven_gap(
             x, below = module[i], covers[i] & ((1 << v) - 1)
             packed = _pack(fmt, x)
             site = v, next(comp for comp, idx in regular[v] if sum(map(x.__getitem__, idx)) % 2)
-            found.update(
-                (packed + beta, site)
-                for k in range((degree_bound - sum(x)) // 2 + 1)
-                for beta, supp in levels[k].items()
-                if supp & below == below
-            )
+            for level in levels[:(degree_bound - sum(x)) // 2 + 1]:
+                betas = [beta for beta, supp in level.items() if supp & below == below] if below else level
+                found.update(zip(map(packed.__add__, betas), repeat(site)))
     return found
 
 
@@ -678,9 +684,10 @@ def _gap_formula(g: Graph, degree_bound: int) -> list[Vector]:
         seen |= grown
         frontier = [z for z in grown if not c.engine.decide(z)]
     packed.sort()
-    gap = [_unpack(fmt, n) for n in packed]
-    c.certified.update(
-        (y, ExclusionCertificate(*site, y)) for y, site in zip(gap, map(found.get, packed)) if site is not None)
+    gap = _unpack(fmt, packed)
+    c.certified.update(  # tuple.__new__: the record without the Python-level __new__ of a named tuple
+        (y, tuple.__new__(ExclusionCertificate, (*site, y)))
+        for y, site in zip(gap, map(found.get, packed)) if site is not None)
     return gap
 
 

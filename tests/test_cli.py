@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -364,7 +365,7 @@ def test_jobs_start_no_more_workers_than_graphs(monkeypatch):
         def map(self, fn, work, chunksize=1):
             return map(fn, work)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     serial = [row for row, _ in cli.theorem_results(7, list(range(8, 13)))]
     assert [row for row, _ in cli.theorem_results(7, list(range(8, 13)), jobs=64)] == serial
     assert started == [5]
@@ -372,6 +373,14 @@ def test_jobs_start_no_more_workers_than_graphs(monkeypatch):
     assert started == [5]
     assert cli.addition_rows(build_gab(3, 4), 2, jobs=64) == cli.addition_rows(build_gab(3, 4), 2)
     assert started == [5, 4]  # one graph per orbit
+
+
+def test_cli_import_loads_no_process_pool():
+    """The pool's modules load only where a pool runs, not at every start."""
+    probe = "import sys, edgering.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_additions_report_independent_of_jobs():

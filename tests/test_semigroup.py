@@ -315,7 +315,7 @@ def _formula_route(g, bound):
     gens = [x for x in normalization_generators(g) if sum(x) <= bound]
     fmt = _packing(g.n_vertices, bound)
     levels = _edge_sum_levels(fmt, g.n_vertices, g.edges, bound - min(map(sum, gens)))
-    return _module_generators(_EdgeSumSearch(g), gens, bound), [[_unpack(fmt, n) for n in lv] for lv in levels]
+    return _module_generators(_EdgeSumSearch(g), gens, bound), [_unpack(fmt, list(lv)) for lv in levels]
 
 
 def module_covers(g, bound):
@@ -564,9 +564,39 @@ def test_packing_adds_and_orders(case):
     fmt = _packing(len(a), bound)
     assert fmt.size == (len(a) + 1) * (1 if bound == 255 else 2)
     pa, pb = _pack(fmt, a), _pack(fmt, b)
-    assert _unpack(fmt, pa) == a and _unpack(fmt, pb) == b
+    assert _unpack(fmt, [pa, pb]) == [a, b]
     assert pa + pb == _pack(fmt, tuple(map(add, a, b)))
     assert (pa < pb) == ((sum(a), a) < (sum(b), b))
+
+
+@st.composite
+def packed_vectors(draw):
+    """(bound, d, vectors): a bound whose fields are 1, 2, 4 or 8 bytes
+    wide, d in 1..16 and up to 8 vectors of N^d of degree <= bound."""
+    bound, d = draw(st.sampled_from([254, 256, 65_536, 2**32])), draw(st.integers(1, 16))
+    vecs = []
+    for _ in range(draw(st.integers(0, 8))):
+        coords = []
+        for _ in range(d):
+            coords.append(draw(st.integers(0, bound - sum(coords))))
+        vecs.append(tuple(draw(st.permutations(coords))))
+    return bound, d, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_vectors())
+def test_bulk_unpack_matches_field_decoding(case):
+    """``_unpack`` of a list equals decoding each packed int field by field
+    (shift and mask, the sum field dropped), for every field width, and
+    the empty list unpacks to the empty list."""
+    bound, d, vecs = case
+    fmt = _packing(d, bound)
+    bits_per_field = 8 * fmt.size // (d + 1)
+    assert bits_per_field == 8 * {254: 1, 256: 2, 65_536: 4, 2**32: 8}[bound]
+    packed = [_pack(fmt, y) for y in vecs]
+    fields = [[n >> bits_per_field * (d - i) & ((1 << bits_per_field) - 1) for i in range(d + 1)] for n in packed]
+    assert _unpack(fmt, packed) == [tuple(f[1:]) for f in fields] == vecs
+    assert _unpack(fmt, []) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -578,7 +608,7 @@ def test_edge_sum_levels_are_S_by_degree(g):
     for k, level in enumerate(levels):
         degree_2k = (x for x in _nonnegative_vectors(d, 2 * k) if sum(x) == 2 * k)
         members = {x for x in degree_2k if in_S(g, x) is not None}
-        assert {_unpack(fmt, n) for n in level} == members
+        assert set(_unpack(fmt, list(level))) == members
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -590,10 +620,9 @@ def test_edge_sum_levels_match_reference(g, max_degree):
     fmt = _packing(d, max_degree)
     levels = _edge_sum_levels(fmt, d, g.edges, max_degree)
     reference = helpers.edge_sum_levels_reference(d, g.edges, max_degree)
-    assert [{_unpack(fmt, n) for n in level} for level in levels] == reference
+    assert [set(_unpack(fmt, list(level))) for level in levels] == reference
     for level in levels:
-        for n, supp in level.items():
-            beta = _unpack(fmt, n)
+        for beta, supp in zip(_unpack(fmt, list(level)), level.values()):
             assert supp == to_mask(v for v, c in enumerate(beta, 1) if c), beta
 
 

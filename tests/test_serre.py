@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import random
 import re
 import weakref
@@ -41,7 +42,16 @@ from edgering.graph import (
     to_mask,
     write_graph,
 )
-from edgering.semigroup import _gap_direct, cone, gap_elements, in_cone, in_lattice, in_S, normalization_generators
+from edgering.semigroup import (
+    ExclusionCertificate,
+    _gap_direct,
+    cone,
+    gap_elements,
+    in_cone,
+    in_lattice,
+    in_S,
+    normalization_generators,
+)
 from edgering.serre import (
     NO_UP_TO_BOUND,
     VERDICT_NORMAL,
@@ -537,6 +547,34 @@ def test_fast_path_on_theorem_graphs(d):
     counts = [check_fast_path(graph_for_theorem(d, n).graph, 16) for n in theorem_edge_range(d)]
     assert all(certified for certified, _ in counts)
     assert d == 7 or sum(certified for certified, _ in counts) == 16632
+
+
+def test_exclusion_certificate_is_a_record():
+    """``ExclusionCertificate`` is a named tuple with its three fields in
+    order: immutable, truthy, equal to the plain tuple of its fields, and
+    a pickle round trip, as pool workers return reports, gives an equal
+    record of its own type.  On a theorem graph the scan's answer for an
+    equal copy of each certified element is a record equal to the stored
+    one, and a report survives pickling with its records."""
+    assert ExclusionCertificate._fields == ("vertex", "component", "candidate")
+    g = graph_for_theorem(8, 16).graph
+    cone.cache_clear()
+    gap = gap_elements(g, 16)
+    certified = cone(g).certified
+    assert len(certified) == len(gap) == 3168
+    for alpha in gap:
+        stored = certified[alpha]
+        scanned = vertex_parity_certificate(g, stored.vertex, tuple(list(alpha)))
+        assert type(scanned) is ExclusionCertificate and scanned == stored and scanned is not stored
+    stored = certified[gap[0]]
+    assert stored and stored == (stored.vertex, stored.component, stored.candidate)
+    with pytest.raises(AttributeError):
+        stored.vertex = 0
+    back = pickle.loads(pickle.dumps(stored))
+    assert type(back) is ExclusionCertificate and back == stored
+    report = classify(g)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and {type(c) for c in back.certificates} == {ExclusionCertificate}
 
 
 def test_fast_path_on_hypothesis_graphs():
