@@ -14,7 +14,7 @@ on-facet graph.  Cone membership does not read the facets;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import (
     Edge,
@@ -141,7 +141,7 @@ def integer_rank(rows: Sequence[Sequence[int]], dim: int | None = None) -> int:
     Gaussian elimination: every entry below the pivot rows is a minor of
     the input, so the division by the previous pivot is exact.  Only the
     tests call it, as the reference for ``lattice_rank``; it stays here as
-    the benchmark's tracer wraps it by name, until ROADMAP item 5 moves it
+    the benchmark's tracer wraps it by name, until ROADMAP item 7 moves it
     to ``tests/helpers.py``."""
     mat = [list(row) for row in rows]
     if dim is None:
@@ -187,6 +187,20 @@ def _facet_from_normal(g: Graph, kind: str, verts: tuple[int, ...], normal: tupl
     return Facet(kind, verts, normal, on_facet, validated)
 
 
+def fundamental_masks(g: Graph) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(sorted T, mask of T, mask of N(T)) per ``fundamental_sets(g)``, kept by ``Cone.fundamental``."""
+    return tuple((tuple(bits(m)), m, mask_neighbors(g, m)) for m in map(to_mask, fundamental_sets(g)))
+
+
+def facet_candidates(g: Graph, regular: Iterable[int], fundamental: Sequence[tuple]) -> tuple[Facet, ...]:
+    """The candidates of the vertices ``regular``, normal 1 at v, then of the sets T of
+    ``fundamental_masks``, 1 on N(T) and -1 on T: the builder of ``facets`` and ``Cone.validated``."""
+    d = g.n_vertices
+    signs = [(VERTEX_KIND, (v,), 1 << v, 0) for v in regular] + [(FUNDAMENTAL_KIND, t, n, m) for t, m, n in fundamental]
+    return tuple(_facet_from_normal(g, kind, verts, tuple((pos >> u & 1) - (neg >> u & 1) for u in range(1, d + 1)))
+                 for kind, verts, pos, neg in signs)
+
+
 def facets(g: Graph) -> tuple[Facet, ...]:
     """All supporting-hyperplane candidates of the edge cone, vertex kind
     first (ascending vertex) then fundamental kind (by size, then T).
@@ -203,17 +217,7 @@ def facets(g: Graph) -> tuple[Facet, ...]:
         raise UnsupportedGraphError("edge cone facet structure needs a connected graph")
     if comps[0][1] is not None:
         raise UnsupportedGraphError("edge cone facet structure needs at least one odd cycle")
-    d = g.n_vertices
-    out: list[Facet] = []
-    for v in g.vertices:
-        if is_regular_vertex(g, v):
-            out.append(_facet_from_normal(g, VERTEX_KIND, (v,), tuple(int(u == v) for u in range(1, d + 1))))
-    for t in fundamental_sets(g):
-        tmask = to_mask(t)
-        nmask = mask_neighbors(g, tmask)
-        normal = tuple((nmask >> u & 1) - (tmask >> u & 1) for u in range(1, d + 1))
-        out.append(_facet_from_normal(g, FUNDAMENTAL_KIND, tuple(sorted(t)), normal))
-    return tuple(out)
+    return facet_candidates(g, [v for v in g.vertices if is_regular_vertex(g, v)], fundamental_masks(g))
 
 
 def generators_on_facet(g: Graph, f: Facet) -> list[Edge]:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cycles import ExceptionalPair, exceptional_pairs
-from .facets import Facet, facets, generators_on_facet, regular_vertex_components
+from .facets import Facet, facet_candidates, fundamental_masks, generators_on_facet, regular_vertex_components
+from .facets import facets  # not called here; the benchmark's tracer wraps semigroup.facets by name
 from .graph import (
     Edge,
     Graph,
@@ -467,8 +468,10 @@ class Cone:
     ``regular_vertex_components(g, v)``, each with its 0-based index
     tuple; its keys are exactly the validated vertex facets, by the lemma
     of ``facets._facet_from_normal``, as v is the one bipartite component
-    of the on-facet graph.  ``lattice``: ``_lattice_groups(g)``, read by
-    ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``.
+    of the on-facet graph.  ``fundamental``: ``fundamental_masks(g)``, read
+    by the HK check.  ``lattice``: ``_lattice_groups(g)``, read by
+    ``in_lattice``.  ``validated``: the validated facets of ``facets(g)``,
+    from ``facet_candidates`` on ``regular`` and ``fundamental``.
     ``engine``: the library's one ``_EdgeSumSearch(g)``, for ``in_S`` and
     every step of ``_gap_formula``.  ``quotient(f)``: the ``_FacetQuotient``
     of ``serre.in_localization``, built once per facet.  ``certified``:
@@ -501,18 +504,25 @@ class Cone:
         return _lattice_groups(self.graph)
 
     @cached_property
+    def fundamental(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        return fundamental_masks(self.graph)
+
+    @cached_property
     def validated(self) -> tuple[Facet, ...]:
-        return tuple(f for f in facets(self.graph) if f.validated)
+        return tuple(f for f in facet_candidates(self.graph, self.regular, self.fundamental) if f.validated)
 
     @cached_property
     def engine(self) -> _EdgeSumSearch:
         return _EdgeSumSearch(self.graph)
 
+    def odd_component(self, v: int, x: Vector) -> tuple[int, ...] | None:
+        """The first component of G minus v (v regular) of odd x-weight, or None."""
+        return next((comp for comp, idx in self.regular[v] if sum(map(x.__getitem__, idx)) % 2), None)
+
     def certifying(self, x: Vector) -> Iterator[int]:
         """C(x), ascending: the regular v with x_v = 0 and a component of G
         minus v of odd x-weight, sound by ``serre.vertex_parity_certificate``."""
-        return (v for v, rows in self.regular.items()
-                if not x[v - 1] and any(sum(map(x.__getitem__, idx)) % 2 for _, idx in rows))
+        return (v for v in self.regular if not x[v - 1] and self.odd_component(v, x) is not None)
 
     def quotient(self, f: Facet) -> _FacetQuotient:
         if f not in self._quotients:
@@ -588,7 +598,6 @@ def _proven_gap(
     level is added unfiltered.  Each x + beta is one int add, exact by the
     lemma of ``_packing`` as its degree is <= b.  The levels of G minus v
     are built once, for every x that uses v."""
-    regular = cone(g).regular
     users: dict[int, list[int]] = {}  # v -> the i with v in C(module[i])
     for i, cover in enumerate(covers):
         for v in bits(cover):
@@ -600,7 +609,7 @@ def _proven_gap(
         for i in users[v]:
             x, below = module[i], covers[i] & ((1 << v) - 1)
             packed = _pack(fmt, x)
-            site = v, next(comp for comp, idx in regular[v] if sum(map(x.__getitem__, idx)) % 2)
+            site = v, cone(g).odd_component(v, x)
             for level in levels[:(degree_bound - sum(x)) // 2 + 1]:
                 betas = [beta for beta, supp in level.items() if supp & below == below] if below else level
                 found.update(zip(map(packed.__add__, betas), repeat(site)))

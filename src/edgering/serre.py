@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cycles import ExceptionalPair
-from .facets import Facet, fundamental_sets
+from .facets import Facet
 from .graph import (
     Edge,
     Graph,
@@ -30,7 +30,6 @@ from .graph import (
     contains_odd_cycle,
     is_connected,
     mask_components,
-    mask_neighbors,
     rho_vector,
     to_mask,
 )
@@ -208,7 +207,7 @@ def in_localization(g: Graph, f: Facet, alpha) -> LocalizationMembership:
     (read off back-pointers) and y rebuilt from z; on a no the unreached
     class q(alpha) and ell(alpha).  The quotient is ``cone(g).quotient(f)``,
     so every call at F, through ``in_SF_bounded`` or not, grows one set of
-    levels.  This is the only localization test of the library.
+    levels.  This is the one function of the library that builds y.
     """
     vec = _check_vector(g, alpha)
     quotient = cone(g).quotient(f)
@@ -240,8 +239,8 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     survives in alpha + y for every candidate y, and alpha + y cannot be
     an edge sum.
 
-    The components and their 0-based index tuples are ``cone(g).regular
-    [v]``, the rows ``Cone.certifying`` sums too, so a repeated call costs
+    The scan is ``cone(g).odd_component``, the one ``Cone.certifying``
+    and the gap stage run over the same rows, so a repeated call costs
     O(d); a v outside G or not regular raises ValueError.
 
     Fast path: when alpha is the very tuple (an identity test, not
@@ -263,30 +262,26 @@ def vertex_parity_certificate(g: Graph, v: int, alpha) -> ExclusionCertificate |
     if stored is not None and stored.candidate is alpha and stored.vertex == v:
         return stored
     vec = _check_vector(g, alpha)
-    rows = c.regular.get(v)
-    if rows is None:
+    if v not in c.regular:
         raise ValueError(f"vertex {v} is not regular; its hyperplane is not a facet candidate")
-    if vec[v - 1] != 0:
-        return None
-    for comp, idx in rows:
-        if sum(map(vec.__getitem__, idx)) % 2:
-            return ExclusionCertificate(v, comp, vec)
-    return None
+    comp = None if vec[v - 1] else c.odd_component(v, vec)
+    return None if comp is None else ExclusionCertificate(v, comp, vec)
 
 
 def in_SF_bounded(g: Graph, f: Facet, alpha) -> BoundedMembership:
     """The per-facet exclusion test of ``classify``: is the lattice vector
     alpha in the localization S - (S cap F) at facet f?  ``YES`` or
-    ``NO_UP_TO_BOUND`` as ``in_localization`` answers, exactly and with no
-    bound; the name predates the exact test and stays while the
-    benchmark's tracer wraps it.  Rejects alpha outside the edge lattice
-    (``in_lattice``).  A caller that wants y calls ``in_localization``,
-    one that wants a parity certificate ``vertex_parity_certificate``.
+    ``NO_UP_TO_BOUND`` by the exact test of ``in_localization``, on the same
+    ``cone(g).quotient(f)``, with no y built; the name predates the exact
+    test and stays while the benchmark's tracer wraps it.  Rejects alpha
+    outside the edge lattice (``in_lattice``).  y comes from
+    ``in_localization``, a parity certificate from ``vertex_parity_certificate``.
     """
     vec = _check_vector(g, alpha)
     if not in_lattice(g, vec):
         raise ValueError("candidate must lie in the edge lattice")
-    return BoundedMembership(YES if in_localization(g, f, vec).member else NO_UP_TO_BOUND)
+    quotient = cone(g).quotient(f)
+    return BoundedMembership(YES if quotient.reaches(quotient.image(vec), quotient.weight(vec)) else NO_UP_TO_BOUND)
 
 
 def hk_not_s2(g: Graph) -> HkWitness | None:
@@ -311,17 +306,14 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     c = cone(g)
     if not c.pairs:
         return None
-    closed_sets = []
-    for t in fundamental_sets(g):
-        tmask = to_mask(t)
-        closed_sets.append((tuple(sorted(t)), tmask | mask_neighbors(g, tmask)))
+    fundamental = c.fundamental  # before any pair, so past MAX_VERTICES every graph with a pair raises
     rests: dict[int, list[int]] = {}  # N[T] -> component masks of G minus N[T]
     for pair in c.pairs:
         pv = to_mask(pair.first + pair.second)
         m = tuple(pv >> v & 1 for v in range(1, g.vertices[-1] + 1))  # by label, as labels may skip
         if next(c.certifying(m), None) is not None:
             continue
-        avoiding = [(t, closed) for t, closed in closed_sets if not closed & pv]
+        avoiding = [(t, tmask | nmask) for t, tmask, nmask in fundamental if not (tmask | nmask) & pv]
         for _, closed in avoiding:
             if closed not in rests:
                 rests[closed] = [comp for comp, _ in mask_components(g, g.vertex_mask & ~closed)]

@@ -43,6 +43,14 @@ PARTIAL_PROOF_D9_REPORT_SHA256 = "24f09a3637460e5a1b4022dbde2c449d7135ee11f4ec74
 # two_covers_d10.graph, recorded before the open part grew from Step C's
 # failed covers
 TWO_COVERS_D10_REPORT_SHA256 = "152bb90104fd6da841c5371a84e190240025f17936eb887ac6ff107aff1a6255"
+# SHA-256 of the default-bounds `analyze` report of tests/golden/
+# exclusion_not_s2_d9.graph (``EXCLUSION_NOT_S2`` of tests/test_serre.py):
+# NotS2 by exclusion, 1,617 gap elements, 6 certificates; recorded before
+# the HK check and the facet list shared one facet pass
+EXCLUSION_NOT_S2_D9_REPORT_SHA256 = "7d13a1d7943ada3c72aadfc8feb92c01fa7c40fcc1e896ecb5d45f6ae4414c27"
+# the same of tests/golden/hk_witness_d9.graph: NotS2 by the HK criterion,
+# its witness with a nonempty ``same_component_sets``; recorded then too
+HK_WITNESS_D9_REPORT_SHA256 = "c247527fcf19b7fc97e1195fa413375cc711f703c0286ea0d21a3b3312405fc8"
 # additions --a 3 --b 4 --max-extra 2 --format tsv
 ADDITIONS_34_TSV_SHA256 = "8493f5b6872415c41f95e182a9298289b8fb0f4a16795d24b0790a0db2e9dbbe"
 # additions --a 4 --b 4 --max-extra 4 JSON, the benchmark's refutation_additions size
@@ -408,12 +416,16 @@ def test_verify_theorem_d9_matches_golden(tmp_path):
     pytest.param("pair_clique_d10", PAIR_CLIQUE_D10_REPORT_SHA256, id="pair_clique_d10"),
     pytest.param("partial_proof_d9", PARTIAL_PROOF_D9_REPORT_SHA256, id="partial_proof_d9"),
     pytest.param("two_covers_d10", TWO_COVERS_D10_REPORT_SHA256, id="two_covers_d10"),
+    pytest.param("exclusion_not_s2_d9", EXCLUSION_NOT_S2_D9_REPORT_SHA256, id="exclusion_not_s2_d9"),
+    pytest.param("hk_witness_d9", HK_WITNESS_D9_REPORT_SHA256, id="hk_witness_d9"),
 ])
 def test_analyze_report_bytes(tmp_path, name, digest):
     """The full report (gap, certificates and all) at the default bounds,
     16/12, pinned by its SHA-256: of the d=8, n=13 and n=16 theorem graphs
     and of the four golden graphs whose digests tests/test_serre.py checks
-    through ``json.dumps``, the largest reports the CLI writes."""
+    through ``json.dumps``, the largest reports the CLI writes; and of a
+    NotS2 verdict by exclusion and one by the HK criterion, which no other
+    digest covers."""
     if name.startswith("d8_n"):
         path = write_file(tmp_path / f"{name}.graph", graph_for_theorem(8, int(name[4:])).graph)
     else:

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import sys
 import weakref
 from operator import add, mul
 from pathlib import Path
@@ -229,14 +230,62 @@ def test_classify_scans_odd_cycles_once(g33, g34, monkeypatch):
         assert isinstance(cone(g).pairs, tuple)
 
     components, enumerated = [], []
-    real_regular, real_facets = semigroup.regular_vertex_components, semigroup.facets
+    real_regular, real_candidates = semigroup.regular_vertex_components, semigroup.facet_candidates
     monkeypatch.setattr(semigroup, "regular_vertex_components", lambda g, v: components.append(v) or real_regular(g, v))
-    monkeypatch.setattr(semigroup, "facets", lambda g: enumerated.append(g) or real_facets(g))
+    monkeypatch.setattr(semigroup, "facet_candidates", lambda *args: enumerated.append(args) or real_candidates(*args))
     tests = count_calls(monkeypatch, "in_SF_bounded")
     g = graph_for_theorem(8, 13).graph
     cone.cache_clear()
     assert classify(g).verdict == VERDICT_S2_VERIFIED
     assert components and len(components) == len(set(components)) and not enumerated and not tests
+
+
+def count_library_calls(monkeypatch, name):
+    """Wrap ``name`` in each of ``facets``, ``semigroup`` and ``serre`` that
+    binds it; returns the list of its calls.  The ``facets`` module is
+    reached through ``sys.modules``, as ``edgering.facets`` is the function."""
+    calls = []
+    for mod in (sys.modules["edgering.facets"], semigroup, serre):
+        real = getattr(mod, name, None)
+        if real is not None:
+            monkeypatch.setattr(mod, name, lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+def test_classify_makes_one_facet_pass(monkeypatch):
+    """One ``classify`` of pool graph 0 at the default bounds, where every
+    gap element goes to the facets: the fundamental sets are enumerated
+    once, for the HK check and the facet list alike; G minus v is built
+    once per vertex, for ``Cone.regular`` and the vertex facets alike; and
+    no y is built, as ``in_SF_bounded`` asks only whether the class is
+    reached."""
+    enumerations = count_library_calls(monkeypatch, "fundamental_sets")
+    components = count_library_calls(monkeypatch, "regular_vertex_components")
+    witnesses = count_library_calls(monkeypatch, "_lattice_coefficients")
+    tests = count_calls(monkeypatch, "in_SF_bounded")
+    g = localization_graph()
+    cone.cache_clear()
+    assert classify(g).verdict == VERDICT_S2_VERIFIED and tests
+    assert len(enumerations) == 1
+    assert [v for _, v in components] == list(g.vertices)
+    assert witnesses == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_nonbipartite(dmax=9), st.data())
+def test_cone_facet_pass_matches_facets(g, data):
+    """``Cone.validated``, built from ``Cone.regular`` and
+    ``Cone.fundamental``, is the validated entries of ``facets(g)`` in
+    their order; at every regular v, ``Cone.odd_component`` is the first
+    component of a freshly built G minus v of odd x-weight, or None."""
+    c = cone(g)
+    assert c.validated == tuple(f for f in facets(g) if f.validated)
+    x = tuple(data.draw(st.lists(st.integers(0, 3), min_size=g.n_vertices, max_size=g.n_vertices)))
+    for v in g.vertices:
+        comps = helpers.regular_vertex_components_reference(g, v)
+        assert (v in c.regular) == (comps is not None)
+        if comps is not None:
+            assert c.odd_component(v, x) == next((k for k in comps if sum(x[u - 1] for u in k) % 2), None)
 
 
 def test_classify_keeps_one_graph(g33):
