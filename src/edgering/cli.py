@@ -11,12 +11,15 @@ graph (disconnected, bipartite, or past the 16-vertex limit of
 fundamental set enumeration), 4 unknown verdict.  Reports are
 byte-deterministic for a given configuration; worker parallelism never
 changes them, and a JSON report has the bytes of json.dumps(report,
-indent=2, sort_keys=True) plus a newline.
+indent=2, sort_keys=True) plus a newline.  Every report, graph file and
+sidecar is streamed to its file (or stdout) in bounded chunks, never held
+whole as text.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -59,8 +62,11 @@ SEARCH_BOUND = 12
 
 # the most cross-edge subsets `additions` takes, as each is a report row: at
 # this limit, (4,4) with all 16 cross pairs (65,535 subsets) peaks at about
-# 290 MB RSS writing JSON
+# 100 MB RSS, JSON or TSV, nearly all of it the rows, as the report is streamed
 ADDITIONS_SUBSET_LIMIT = 1 << 16
+
+# report pieces joined into one _emit call (see _ReportWriter)
+CHUNK_PIECES = 4096
 
 
 def _positive_int(text: str) -> int:
@@ -70,20 +76,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    for what a report holds: dicts with str keys, lists, str, int, bool and
-    None; any other type, or key type, raises TypeError.  With ``indent``
-    set, json skips its C encoder for a pure-Python one, most of the time
-    of a large report, so the tests keep it only as the oracle of these bytes."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out) + "\n"
+class _ReportWriter:
+    """The one writer of CLI reports: it joins report pieces and hands them
+    to ``_emit`` ``CHUNK_PIECES`` at a time, so no more than one chunk of a
+    report is held as text.  A piece is a JSON token (a key, a scalar, an
+    int list) or one TSV or graph-file line, so a chunk is bounded by the
+    longest report row.
+
+    ``write_json`` writes ``json.dumps(obj, indent=2, sort_keys=True) +
+    "\\n"``, byte for byte, for what a report holds: dicts with str keys,
+    lists, str, int, bool and None; any other type, or key type, raises
+    TypeError.  The chunks before it are already written, so a TypeError
+    part-way leaves a truncated file.  With ``indent`` set, json skips its C
+    encoder for a pure-Python one, most of the time of a large report, so
+    the tests keep it only as the oracle of these bytes."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.parts: list[str] = []
+
+    def write_lines(self, lines) -> None:
+        for line in lines:
+            self.parts.append(line)
+            self.spill()
+
+    def write_json(self, obj) -> None:
+        _write_json(obj, "\n", self)
+        self.parts.append("\n")
+
+    def spill(self) -> None:
+        """Flush once ``CHUNK_PIECES`` pieces are held."""
+        if len(self.parts) >= CHUNK_PIECES:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.parts:
+            _emit("".join(self.parts), self.stream)
+            self.parts.clear()
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the JSON of ``value`` to ``out``, a container's items each
-    after ``newline`` plus two spaces and its closing bracket after ``newline``."""
+def _write_json(value, newline: str, writer: _ReportWriter) -> None:
+    """Append the JSON of ``value`` to ``writer``, a container's items each
+    after ``newline`` plus two spaces and its closing bracket after
+    ``newline``; a list may spill a chunk after each item."""
+    out = writer.parts
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -98,7 +134,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         for i, item in enumerate(value):
             out.append(("," if i else "[") + inner)
-            _write_json(item, inner, out)
+            _write_json(item, inner, writer)
+            writer.spill()
         out.append(newline + "]")
     elif kind is dict:
         inner = newline + "  "
@@ -106,18 +143,25 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             if type(key) is not str:
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
             out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
+            _write_json(item, inner, writer)
         out.append(newline + "}" if value else "{}")
     else:
         raise TypeError(f"{kind.__name__} has no place in a report")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, stream) -> None:
+    """Write one chunk of a report: the one place report bytes leave the process."""
+    stream.write(text)
+
+
+@contextlib.contextmanager
+def _report(output: str | None):
+    """A ``_ReportWriter`` over the file ``output``, opened once, or over
+    stdout when it is None; what it holds is flushed on a normal exit."""
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as stream:
+        writer = _ReportWriter(stream)
+        yield writer
+        writer.flush()
 
 
 # -- sweeps ------------------------------------------------------------
@@ -155,11 +199,12 @@ def _sweep(args, label: str, rows_of, expected: set[str], header: dict, flag: st
     rows = rows_of()
     elapsed = time.perf_counter() - t0
     all_ok = all(r["verdict"] in expected for r in rows)
-    if args.format == "tsv":
-        lines = ["\t".join(cols)] + ["\t".join(_tsv_cell(r[c]) for c in cols) for r in rows]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_dump_json({**header, "rows": rows, flag: all_ok}), args.output)
+    with _report(args.output) as out:
+        if args.format == "tsv":
+            out.write_lines(["\t".join(cols) + "\n"])
+            out.write_lines("\t".join([_tsv_cell(r[c]) for c in cols]) + "\n" for r in rows)
+        else:
+            out.write_json({**header, "rows": rows, flag: all_ok})
     print(
         f"{label}: {len(rows)} rows, {'all' if all_ok else 'NOT all'} "
         f"{' or '.join(sorted(expected))}, {elapsed:.1f}s",
@@ -268,7 +313,8 @@ def _cmd_analyze(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     report = classify(g, degree_bound=args.degree_bound)
-    _emit(_dump_json({**report.to_json_dict(), "search_bound": args.search_bound}), args.output)
+    with _report(args.output) as out:
+        out.write_json({**report.to_json_dict(), "search_bound": args.search_bound})
     timings = report.timings_ms
     stages = ", ".join(
         f"{stage} {timings[stage]:.1f}"
@@ -298,7 +344,8 @@ def _cmd_family(args) -> int:
         raise ValueError("need --d/--n or --a/--b")
     n = fam.graph.n_edges
     removed = removal_schedule(fam.a, fam.b)[: max_family_edges(fam.a, fam.b) - n]
-    _emit(write_graph(fam.graph), args.output)
+    with _report(args.output) as out:
+        out.write_lines(write_graph(fam.graph).splitlines(keepends=True))
     if args.output:
         sidecar = {
             "a": fam.a,
@@ -308,15 +355,19 @@ def _cmd_family(args) -> int:
             "labels": fam.labels,
             "removed_edges": [list(e) for e in removed],
         }
-        with open(args.output + ".meta.json", "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(sidecar))
+        with _report(args.output + ".meta.json") as out:
+            out.write_json(sidecar)
     return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept for the process:
+    ``parse_args`` returns a fresh namespace each call and changes no
+    parser state."""
     parser = argparse.ArgumentParser(
         prog="edgering",
         description="Normality and Serre depth condition analysis for edge rings of graphs.",

@@ -94,19 +94,24 @@ def _independent_sets(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
+def check_fundamental_limit(g: Graph) -> None:
+    """Raise UnsupportedGraphError (CLI exit code 3) when g has more than
+    ``MAX_VERTICES`` vertices, the cap of fundamental set enumeration."""
+    if g.n_vertices > MAX_VERTICES:
+        raise UnsupportedGraphError(
+            f"fundamental set enumeration limited to {MAX_VERTICES} vertices, graph has {g.n_vertices}"
+        )
+
+
 def fundamental_sets(g: Graph) -> list[VertexSet]:
     """All fundamental independent sets T, sorted by (size, sorted tuple).
 
     T qualifies when (a) T is independent, (b) the bipartite graph
     induced by T is connected, and (c) T together with N(G; T) covers V,
     or every component left over contains an odd cycle.  Exhaustive over
-    independent sets, so guarded by ``MAX_VERTICES``: a larger graph
-    raises UnsupportedGraphError (CLI exit code 3).
+    independent sets, so guarded by ``check_fundamental_limit``.
     """
-    if g.n_vertices > MAX_VERTICES:
-        raise UnsupportedGraphError(
-            f"fundamental set enumeration limited to {MAX_VERTICES} vertices, graph has {g.n_vertices}"
-        )
+    check_fundamental_limit(g)
     out: list[VertexSet] = []
     for tmask, nmask in _independent_sets(g):
         # each vertex of N(T) has a neighbour in T, so the bipartite graph is

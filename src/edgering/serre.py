@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cycles import ExceptionalPair
-from .facets import Facet
+from .facets import Facet, check_fundamental_limit
 from .graph import (
     Edge,
     Graph,
@@ -301,19 +301,22 @@ def hk_not_s2(g: Graph) -> HkWitness | None:
     once per T per call.  The lemma proves only this equivalence; that a
     passing m lies in S' minus S is checked by the exact tests of ``in_S``
     and ``in_localization``, not proved.  Returns the first passing pair
-    in canonical order, or None.
+    in canonical order, or None.  The fundamental sets are enumerated
+    only for a pair with no certifying vertex, but the vertex limit of
+    that enumeration is checked before any pair, so every graph past it
+    with a pair raises UnsupportedGraphError.
     """
     c = cone(g)
     if not c.pairs:
         return None
-    fundamental = c.fundamental  # before any pair, so past MAX_VERTICES every graph with a pair raises
+    check_fundamental_limit(g)
     rests: dict[int, list[int]] = {}  # N[T] -> component masks of G minus N[T]
     for pair in c.pairs:
         pv = to_mask(pair.first + pair.second)
         m = tuple(pv >> v & 1 for v in range(1, g.vertices[-1] + 1))  # by label, as labels may skip
         if next(c.certifying(m), None) is not None:
             continue
-        avoiding = [(t, tmask | nmask) for t, tmask, nmask in fundamental if not (tmask | nmask) & pv]
+        avoiding = [(t, tmask | nmask) for t, tmask, nmask in c.fundamental if not (tmask | nmask) & pv]
         for _, closed in avoiding:
             if closed not in rests:
                 rests[closed] = [comp for comp, _ in mask_components(g, g.vertex_mask & ~closed)]

@@ -1,9 +1,11 @@
 import concurrent.futures
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,6 +284,70 @@ def test_additions_44_json_bytes(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ADDITIONS_44_JSON_SHA256
 
 
+ADDITIONS_44 = ["additions", "--a", "4", "--b", "4", "--max-extra", "4"]
+ADDITIONS_44_JSON_BYTES = 723_612
+
+
+def test_additions_44_json_in_chunks(tmp_path, monkeypatch, capsys):
+    """The (4,4,4) report reaches ``_emit`` as several str chunks, which
+    join to the bytes of the file."""
+    chunks = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda text, stream: chunks.append(text) or emit(text, stream))
+    out = tmp_path / "adds.json"
+    assert cli.main([*ADDITIONS_44, "--output", str(out)]) == 0, capsys.readouterr().err
+    assert len(chunks) > 1 and all(type(c) is str for c in chunks)
+    assert "".join(chunks).encode() == out.read_bytes()
+    assert len(out.read_bytes()) == ADDITIONS_44_JSON_BYTES
+
+
+def test_report_writer_holds_less_than_the_report(tmp_path):
+    """Writing the (4,4,4) report allocates, at its peak, less than the
+    report's own length: it is never held whole as text."""
+    rows = cli.addition_rows(build_gab(4, 4), 4)
+    report = {"command": "additions", "a": 4, "b": 4, "max_extra": 4, "rows": rows, "all_rows_expected": True}
+    out = tmp_path / "adds.json"
+    tracemalloc.start()
+    try:
+        with cli._report(str(out)) as writer:
+            writer.write_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ADDITIONS_44_JSON_SHA256
+    assert peak < ADDITIONS_44_JSON_BYTES
+
+
+def test_additions_44_json_on_stdout(capsys):
+    """Without --output the same chunks go to stdout, byte for byte."""
+    assert cli.main(ADDITIONS_44) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ADDITIONS_44_JSON_SHA256
+
+
+def test_main_builds_one_parser(tmp_path, capsys):
+    """``main`` builds its parser once per process, and no call's
+    arguments reach the next: a default comes back after an explicit
+    value, a range after a single --n, and a valid call after an argparse
+    error."""
+    cli._build_parser.cache_clear()
+    graph = write_file(tmp_path / "k5.graph", helpers.complete_graph(5))
+    report = tmp_path / "report.json"
+    for bound, echoed in [(["--search-bound", "0"], 0), ([], cli.SEARCH_BOUND)]:
+        assert cli.main(["analyze", *bound, "--input", graph, "--output", str(report)]) == 0
+        assert json.loads(report.read_text())["search_bound"] == echoed
+    for counts, ns in [(["--n", "9"], [9]), (["--n-min", "9", "--n-max", "10"], [9, 10])]:
+        assert cli.main(["verify-theorem", "--d", "8", *counts, "--output", str(report)]) == 0
+        assert [row["n"] for row in json.loads(report.read_text())["rows"]] == ns
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-theorem", "--d", "eight"])
+    assert exc.value.code == 2
+    fam = tmp_path / "fam.graph"
+    assert cli.main(["family", "--d", "7", "--n", "8", "--output", str(fam)]) == 0
+    assert fam.read_bytes() == (GOLDEN / "family_d7_n8.graph").read_bytes()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
 @pytest.mark.parametrize("a, b, max_extra", [(3, 3, 9), (3, 4, 3), (4, 4, 2)])
 def test_addition_rows_match_per_subset_route(a, b, max_extra):
     """Classifying one subset per orbit gives every row that classifying
@@ -453,14 +519,23 @@ json_values = st.recursive(
 @example([[[[[2**64, -1]]]], [], {}])
 def test_dump_json_matches_json_dumps(value):
     """The report writer against ``json.dumps``, its oracle, byte for byte."""
-    assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value, kind", [(1.5, "float"), ((1, 2), "tuple"), ({1}, "set"), ({1: "a"}, "int")],
                          ids=["float", "tuple", "set", "int_key"])
 def test_dump_json_rejects_types_no_report_holds(value, kind):
     with pytest.raises(TypeError, match=kind):
-        cli._dump_json({"rows": [value]})
+        dump_json({"rows": [value]})
+
+
+def dump_json(value) -> str:
+    """``value`` as the report writer writes it, collected in a string."""
+    stream = io.StringIO()
+    writer = cli._ReportWriter(stream)
+    writer.write_json(value)
+    writer.flush()
+    return stream.getvalue()
 
 
 def test_localization_pool_reports_at_8_8(tmp_path, capsys):

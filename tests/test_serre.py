@@ -271,6 +271,21 @@ def test_classify_makes_one_facet_pass(monkeypatch):
     assert witnesses == []
 
 
+def test_hk_enumerates_only_for_an_uncertified_pair(monkeypatch):
+    """On a theorem graph every exceptional pair has a certifying vertex
+    and every gap element a certificate, so ``classify`` lists no
+    fundamental set; past the 16-vertex cap a graph with a pair is still
+    refused, by the limit check alone."""
+    enumerations = count_library_calls(monkeypatch, "fundamental_masks")
+    cone.cache_clear()
+    assert classify(graph_for_theorem(8, 12).graph).verdict == VERDICT_S2_VERIFIED
+    g = graph_for_theorem(17, 18).graph
+    assert cone(g).pairs
+    with pytest.raises(UnsupportedGraphError, match="limited to 16 vertices, graph has 17"):
+        hk_not_s2(g)
+    assert enumerations == []
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(connected_nonbipartite(dmax=9), st.data())
 def test_cone_facet_pass_matches_facets(g, data):
