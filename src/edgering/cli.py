@@ -11,9 +11,10 @@ graph (disconnected, bipartite, or past the 16-vertex limit of
 fundamental set enumeration), 4 unknown verdict.  Reports are
 byte-deterministic for a given configuration; worker parallelism never
 changes them, and a JSON report has the bytes of json.dumps(report,
-indent=2, sort_keys=True) plus a newline.  Every report, graph file and
-sidecar is streamed to its file (or stdout) in bounded chunks, never held
-whole as text.  The argument parser is built once per process.
+indent=2, sort_keys=True) plus a newline.  Every report and sidecar is
+streamed to its file (or stdout) in bounded chunks, never held whole as
+text; a graph file, one line per edge, is built whole by ``write_graph``
+and written line by line.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .families import (
     theorem_edge_range,
 )
 from .graph import Graph, GraphFormatError, UnsupportedGraphError, parse_graph, write_graph
-from .semigroup import DEGREE_BOUND
+from .semigroup import DEGREE_BOUND, check_degree_bound
 from .serre import (
     VERDICT_NORMAL,
     VERDICT_NOT_S2,
@@ -62,7 +63,8 @@ SEARCH_BOUND = 12
 
 # the most cross-edge subsets `additions` takes, as each is a report row: at
 # this limit, (4,4) with all 16 cross pairs (65,535 subsets) peaks at about
-# 100 MB RSS, JSON or TSV, nearly all of it the rows, as the report is streamed
+# 51 MB RSS, JSON or TSV, as the report is streamed and a row holds the very
+# subset tuple listed here, so what is left per row is its dict
 ADDITIONS_SUBSET_LIMIT = 1 << 16
 
 # report pieces joined into one _emit call (see _ReportWriter)
@@ -80,14 +82,15 @@ class _ReportWriter:
     """The one writer of CLI reports: it joins report pieces and hands them
     to ``_emit`` ``CHUNK_PIECES`` at a time, so no more than one chunk of a
     report is held as text.  A piece is a JSON token (a key, a scalar, an
-    int list) or one TSV or graph-file line, so a chunk is bounded by the
+    int array) or one TSV or graph-file line, so a chunk is bounded by the
     longest report row.
 
     ``write_json`` writes ``json.dumps(obj, indent=2, sort_keys=True) +
-    "\\n"``, byte for byte, for what a report holds: dicts with str keys,
-    lists, str, int, bool and None; any other type, or key type, raises
-    TypeError.  The chunks before it are already written, so a TypeError
-    part-way leaves a truncated file.  With ``indent`` set, json skips its C
+    "\\n"``, byte for byte, for what a report holds: dicts with str keys;
+    lists and tuples, each a JSON array; str, int, bool and None.  These
+    are exact types, so a named tuple, as any other type or key type,
+    raises TypeError.  The chunks before it are already written, so a
+    TypeError part-way leaves a truncated file.  With ``indent`` set, json skips its C
     encoder for a pure-Python one, most of the time of a large report, so
     the tests keep it only as the oracle of these bytes."""
 
@@ -118,7 +121,7 @@ class _ReportWriter:
 def _write_json(value, newline: str, writer: _ReportWriter) -> None:
     """Append the JSON of ``value`` to ``writer``, a container's items each
     after ``newline`` plus two spaces and its closing bracket after
-    ``newline``; a list may spill a chunk after each item."""
+    ``newline``; an array may spill a chunk after each item."""
     out = writer.parts
     kind = type(value)
     if kind is str:
@@ -127,10 +130,10 @@ def _write_json(value, newline: str, writer: _ReportWriter) -> None:
         out.append(int.__repr__(value))
     elif value is None or kind is bool:
         out.append("null" if value is None else "true" if value else "false")
-    elif kind is list and all(type(v) is int for v in value):
+    elif kind in (list, tuple) and all(type(v) is int for v in value):
         inner = newline + "  "
         out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]" if value else "[]")
-    elif kind is list:
+    elif kind in (list, tuple):
         inner = newline + "  "
         for i, item in enumerate(value):
             out.append(("," if i else "[") + inner)
@@ -186,7 +189,7 @@ def _classify_all(graphs: list[Graph], degree_bound: int, jobs: int) -> list[Cla
 
 def _tsv_cell(value) -> str:
     """A report value as one TSV cell; an edge list reads 1-5;2-6."""
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return ";".join(f"{i}-{j}" for i, j in value)
     return str(value)
 
@@ -280,7 +283,7 @@ def addition_rows(
     decided = dict(zip(firsts, _classify_all(graphs, degree_bound, jobs)))
     return [
         {
-            "extra_edges": [list(e) for e in subset],
+            "extra_edges": subset,
             "edges": fam.graph.n_edges + len(subset),
             "verdict": decided[r].verdict,
             "exhaustive": decided[r].exhaustive,
@@ -353,7 +356,7 @@ def _cmd_family(args) -> int:
             "d": fam.graph.n_vertices,
             "n": n,
             "labels": fam.labels,
-            "removed_edges": [list(e) for e in removed],
+            "removed_edges": removed,
         }
         with _report(args.output + ".meta.json") as out:
             out.write_json(sidecar)
@@ -418,6 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "search_bound", 0) < 0:
             raise ValueError(f"search bound must be nonnegative, got {args.search_bound}")
+        check_degree_bound(getattr(args, "degree_bound", DEGREE_BOUND))
         return args.func(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

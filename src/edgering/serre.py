@@ -38,6 +38,7 @@ from .semigroup import (
     ExclusionCertificate,
     Vector,
     _check_vector,
+    _require_full,
     check_degree_bound,
     cone,
     gap_elements,
@@ -112,30 +113,21 @@ class ClassificationReport:
         hk = None
         if self.hk_witness is not None:
             hk = {
-                "first": list(self.hk_witness.pair.first),
-                "second": list(self.hk_witness.pair.second),
-                "same_component_vertices": list(self.hk_witness.same_component_vertices),
-                "same_component_sets": [list(t) for t in self.hk_witness.same_component_sets],
+                "first": self.hk_witness.pair.first,
+                "second": self.hk_witness.pair.second,
+                "same_component_vertices": self.hk_witness.same_component_vertices,
+                "same_component_sets": self.hk_witness.same_component_sets,
             }
         return {
             "verdict": self.verdict,
             "degree_bound": self.degree_bound,
-            "gap": [list(v) for v in self.gap],
+            "gap": self.gap,
             "gap_count": self.gap_count,
             "gap_computed": self.gap_computed,
-            "certificates": [
-                {
-                    "vertex": c.vertex,
-                    "component": list(c.component),
-                    "candidate": list(c.candidate),
-                }
-                for c in self.certificates
-            ],
+            "certificates": [c._asdict() for c in self.certificates],
             "hk_witness": hk,
             "exhaustive": self.exhaustive,
-            "s_prime_candidate": None
-            if self.s_prime_candidate is None
-            else list(self.s_prime_candidate),
+            "s_prime_candidate": self.s_prime_candidate,
         }
 
 
@@ -369,12 +361,14 @@ def classify(g: Graph, degree_bound: int = DEGREE_BOUND) -> ClassificationReport
         A ClassificationReport; serialize with ``to_json_dict``.
 
     Raises:
-        ValueError: the degree bound is not an integer or out of range, checked before any stage.
+        ValueError: the degree bound is not an integer or out of range, or
+            the labels are not 1..d, both checked before any stage.
         UnsupportedGraphError: g is disconnected or bipartite.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     degree_bound = check_degree_bound(degree_bound)
+    _require_full(g)
     if not is_connected(g):
         raise UnsupportedGraphError("classification needs a connected graph")
     if not contains_odd_cycle(g):

@@ -697,7 +697,7 @@ def addition_rows_reference(fam, max_extra: int, degree_bound: int) -> list[dict
             graph = add_cross_edges(fam, subset)
             report = classify(graph, degree_bound=degree_bound)
             rows.append({
-                "extra_edges": [list(e) for e in subset],
+                "extra_edges": subset,
                 "edges": graph.n_edges,
                 "verdict": report.verdict,
                 "exhaustive": report.exhaustive,

@@ -16,7 +16,7 @@ import helpers
 from edgering import cli
 from edgering.families import build_gab, graph_for_theorem
 from edgering.graph import parse_graph, write_graph
-from edgering.semigroup import DEGREE_BOUND
+from edgering.semigroup import DEGREE_BOUND, ExclusionCertificate
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_D9_TSV = GOLDEN / "verify_theorem_d9.tsv"
@@ -25,6 +25,7 @@ D8_N13_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae43290
 # the same on `family --d 8 --n 16`, the largest d=8 theorem graph (3,168
 # certificates), recorded before the gap stage built the certificates; the
 # n = 13..16 graphs share their gap and certificates, so their report bytes
+# are those of n = 13, byte for byte
 D8_N16_REPORT_SHA256 = "718be51f432ebddef6bc45298af8e0683b1cb0345e0695196ae4329081531407"
 # SHA-256 of the `analyze --degree-bound 16 --search-bound 12` report of
 # pool graph 0 (``localization_graph``), recorded before the exact
@@ -389,12 +390,15 @@ def test_additions_over_the_subset_limit(capsys):
     assert f"{cli.ADDITIONS_SUBSET_LIMIT:,}" in capsys.readouterr().out
 
 
-def test_additions_odd_degree_bound():
-    # every graph here returns before gap enumeration, so classify must
-    # reject the bound up front
-    proc = run_cli("additions", "--a", "3", "--b", "3", "--max-extra", "1", "--degree-bound", "7")
-    assert proc.returncode == 2
-    assert "degree bound" in proc.stderr
+def test_additions_odd_degree_bound(monkeypatch, capsys):
+    """``main`` refuses the bound before the command runs: no orbit pass
+    over the 65,535 subsets of (4,4), and no graph built."""
+    def no_orbits(*_args):
+        raise AssertionError("cross_edge_orbits was called")
+
+    monkeypatch.setattr(cli, "cross_edge_orbits", no_orbits)
+    assert cli.main(["additions", "--a", "4", "--b", "4", "--degree-bound", "7"]) == 2
+    assert "degree bound must be a positive even integer, got 7" in capsys.readouterr().err
 
 
 def test_no_command_shows_usage():
@@ -507,9 +511,16 @@ def test_analyze_report_bytes(tmp_path, name, digest):
 # characters and a lone surrogate
 json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\ud800\U0001f600') | st.characters(), max_size=8)
 json_ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+
+
+def arrays(elements, **kw):
+    """Lists and plain tuples of ``elements``, both JSON arrays to json.dumps."""
+    return st.lists(elements, **kw) | st.lists(elements, **kw).map(tuple)
+
+
 json_values = st.recursive(
-    st.none() | st.booleans() | json_ints | json_text | st.lists(st.booleans() | json_ints),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    st.none() | st.booleans() | json_ints | json_text | arrays(st.booleans() | json_ints),
+    lambda inner: arrays(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
     max_leaves=30,
 )
 
@@ -517,13 +528,15 @@ json_values = st.recursive(
 @given(json_values)
 @example({"b": [True, 1, False, 0], "a": {"c": [[{"d": []}], {}, [None, -(2**70)]]}, "": "\"\\\x01é\U0001f600"})
 @example([[[[[2**64, -1]]]], [], {}])
+@example({"gap": ((0, 1), (), [(2**64,)]), "rows": [{"extra_edges": ((1, 5), (2, 6))}]})
 def test_dump_json_matches_json_dumps(value):
     """The report writer against ``json.dumps``, its oracle, byte for byte."""
     assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value, kind", [(1.5, "float"), ((1, 2), "tuple"), ({1}, "set"), ({1: "a"}, "int")],
-                         ids=["float", "tuple", "set", "int_key"])
+@pytest.mark.parametrize("value, kind", [
+    (1.5, "float"), (ExclusionCertificate(1, (2,), (0, 1)), "ExclusionCertificate"), ({1}, "set"), ({1: "a"}, "int"),
+], ids=["float", "named_tuple", "set", "int_key"])
 def test_dump_json_rejects_types_no_report_holds(value, kind):
     with pytest.raises(TypeError, match=kind):
         dump_json({"rows": [value]})

@@ -422,6 +422,18 @@ def test_classify_rejects_unsupported():
         classify(helpers.cycle_graph(6))
 
 
+def test_classify_checks_labels_before_any_stage():
+    """Labels other than 1..d are refused before the first stage.  With
+    every label raised by one, the HK witness graph would otherwise get a
+    NotS2 verdict from the HK stage, and (3,4) would fail only in the gap
+    stage."""
+    hk = parse_graph((Path(__file__).parent / "golden" / "hk_witness_d9.graph").read_text())
+    for g in (hk, build_gab(3, 4).graph):
+        shifted = Graph(tuple(v + 1 for v in g.vertices), tuple((i + 1, j + 1) for i, j in g.edges))
+        with pytest.raises(ValueError, match="labels exactly 1..d"):
+            classify(shifted)
+
+
 def test_classify_json_round_trip(g33):
     import json
 
