@@ -110,6 +110,7 @@ class ClassificationReport:
         return len(self.gap)
 
     def to_json_dict(self) -> dict:
+        """JSON values with tuples for arrays (as json.dumps takes them), so not equal to its round trip."""
         hk = None
         if self.hk_witness is not None:
             hk = {

@@ -422,6 +422,16 @@ def test_classify_rejects_unsupported():
         classify(helpers.cycle_graph(6))
 
 
+def test_classify_checks_degree_bound_before_any_stage():
+    """An odd bound is refused even on graphs whose classification ends
+    before gap enumeration: K4 at the cycle stage (Normal) and the HK
+    witness graph at the HK stage."""
+    hk = parse_graph((Path(__file__).parent / "golden" / "hk_witness_d9.graph").read_text())
+    for g in (helpers.complete_graph(4), hk):
+        with pytest.raises(ValueError, match="positive even"):
+            classify(g, 7)
+
+
 def test_classify_checks_labels_before_any_stage():
     """Labels other than 1..d are refused before the first stage.  With
     every label raised by one, the HK witness graph would otherwise get a
